@@ -4,7 +4,9 @@ Minimizes F(x) = 1/2 x'Ax - b'x + tau*||x||_1 for symmetric positive
 semidefinite A, with interleaved first-order / subspace-CG solvers,
 baseline solvers (FISTA, BB line-search ISTA), seeded problem
 generators, and a benchmark harness whose work metric is the number of
-operator applications (matrix-vector products).
+operator applications (matrix-vector products). The building blocks of
+the solvers stay importable from their own modules (``ql1.subgrad``,
+``ql1.first_order``, ``ql1.cg``, ``ql1.drivers``).
 """
 
 from ql1.problem import (
@@ -13,27 +15,7 @@ from ql1.problem import (
     FactoredOperator,
     QuadraticProblem,
 )
-from ql1.rng import Rng
-from ql1.subgrad import (
-    SubgradientSplit,
-    gradient_balance,
-    min_norm_subgrad,
-    release_grad,
-    split_subgradient,
-    support_grad,
-    support_grad_map,
-)
-from ql1.first_order import LineSearchMemory, ista_step, subspace_ista_step
-from ql1.cg import CGState, CurvatureBreak, cutback, init_cg_cycle, cg_step
-from ql1.drivers import (
-    RunTrace,
-    SolverConfig,
-    TraceRecord,
-    accuracy,
-    estimate_max_eig,
-    reference_objective,
-    solve,
-)
+from ql1.drivers import RunTrace, SolverConfig, reference_objective, solve
 from ql1.probgen import (
     GeneratedInstance,
     gen_elastic_net,
@@ -45,38 +27,19 @@ from ql1.fileio import ProblemFormatError, read_problem, write_problem
 __version__ = "0.1.0"
 
 __all__ = [
-    "CGState",
     "CountingOperator",
-    "CurvatureBreak",
     "DenseOperator",
     "FactoredOperator",
     "GeneratedInstance",
-    "LineSearchMemory",
     "ProblemFormatError",
     "QuadraticProblem",
-    "Rng",
     "RunTrace",
     "SolverConfig",
-    "SubgradientSplit",
-    "TraceRecord",
-    "accuracy",
-    "cg_step",
-    "cutback",
-    "estimate_max_eig",
     "gen_elastic_net",
     "gen_sigrec",
     "gen_strict_comp",
-    "gradient_balance",
-    "init_cg_cycle",
-    "ista_step",
-    "min_norm_subgrad",
     "read_problem",
     "reference_objective",
-    "release_grad",
     "solve",
-    "split_subgradient",
-    "subspace_ista_step",
-    "support_grad",
-    "support_grad_map",
     "write_problem",
 ]

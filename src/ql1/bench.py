@@ -259,16 +259,6 @@ def alpha_sweep_detail(
     return SweepDetail(table=table, mv=mv_tables, statuses=status_tables)
 
 
-def alpha_sweep(
-    manifest: list[ManifestRow],
-    factors: list[float],
-    tol: float = 1e-4,
-    mv_budget: int = 50000,
-    f_stars: dict[str, float] | None = None,
-) -> list[tuple[float, float]]:
-    return alpha_sweep_detail(manifest, factors, tol, mv_budget, f_stars).table
-
-
 def write_bench_csv(path, results: list[BenchResult]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

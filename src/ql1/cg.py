@@ -11,7 +11,7 @@ first-order phase all cost zero extra matrix-vector products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,7 +111,9 @@ def cutback_alpha(x_k, anchor, d) -> tuple[float, np.ndarray, bool]:
     anchor_sign = np.sign(anchor)
     if np.any(np.sign(x_k) != anchor_sign):
         return 0.0, np.zeros(x_k.shape, dtype=bool), False
-    crossing = (anchor != 0.0) & (np.sign(d) == -anchor_sign) & (x_k * d < 0.0)
+    # x_k has the anchor's signs here, so d against a sign is a crossing
+    # (x_k * d < 0 would miss products that underflow to -0.0)
+    crossing = (anchor != 0.0) & (np.sign(d) == -anchor_sign)
     if not np.any(crossing):
         return 1.0, np.zeros(x_k.shape, dtype=bool), True
     ratios = np.full(x_k.shape, np.inf)
@@ -121,22 +123,25 @@ def cutback_alpha(x_k, anchor, d) -> tuple[float, np.ndarray, bool]:
     return alpha_b, snap, True
 
 
-def cutback(x_k, anchor, d) -> np.ndarray:
+def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> CGState:
     """Truncate a rejected crossing step to the anchor orthant's boundary.
 
-    If x_k itself still lies on the anchor's orthant, the result is
-    x_k + alpha_b*d for the largest sign-preserving alpha_b, with the
-    boundary-hitting coordinates snapped to exactly 0.0; otherwise x_k
-    is returned unchanged.
+    ``s`` is the state the step started from, ``ad`` its product A d and
+    ``cut`` the result of :func:`cutback_alpha`. If s.x lies on the
+    anchor's orthant, the new point is s.x + alpha_b*d with the
+    boundary-hitting coordinates snapped to exactly 0.0; otherwise s.x is
+    kept. The residual becomes s.r + alpha_b*ad, so the returned state's
+    ``smooth_grad`` and ``objective`` cost no further products.
     """
-    x_k = np.asarray(x_k, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    alpha_b, snap, moved = cutback_alpha(x_k, anchor, d)
-    if not moved:
-        return x_k.copy()
-    out = x_k + alpha_b * d
-    out[snap] = 0.0
-    return out
+    alpha_b, snap, moved = cut
+    if moved:
+        x = s.x + alpha_b * s.d
+        x[snap] = 0.0
+    else:
+        x = s.x.copy()
+    r = s.r + alpha_b * ad
+    rho = np.where(s.anchor == 0.0, 0.0, r)
+    return replace(s, x=x, r=r, rho=rho, rho_dot=float(r @ rho), last_ad=ad, last_alpha=alpha_b)
 
 
 def orthant_model_value(x, anchor, ax, b, tau: float) -> float:

@@ -172,7 +172,9 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     factors = [float(f) for f in args.factors.split(",") if f.strip()]
-    table = bench_mod.alpha_sweep(manifest, factors, tol=args.tol, mv_budget=args.budget)
+    table = bench_mod.alpha_sweep_detail(
+        manifest, factors, tol=args.tol, mv_budget=args.budget
+    ).table
     bench_mod.write_sweep_csv(args.out, table)
     print(f"wrote sweep table ({len(table)} factors) to {args.out}")
     return 0

@@ -1,12 +1,15 @@
 """Full solver loops, termination policies, and trace recording.
 
-Four solvers share one work metric: every record in a trace corresponds
-to one accepted constitutive step, and its ``mv`` field is the running
-matrix-vector-product count (including spectral-norm estimation and
-rejected line-search trials, which consume products without producing
-records). For the interleaved solvers the residual recurrence of the CG
-cycle supplies gradients and objective values for free, so each CG step
-and each line-search trial costs exactly one product.
+Two loops run the four solvers: the interleaved loop runs ``iicg1``,
+``iicg2`` and, with its CG cycle switched off, ``istabb``; FISTA has its
+own momentum loop. All four share one work metric: every record in a
+trace corresponds to one accepted constitutive step, and its ``mv``
+field is the running matrix-vector-product count (including
+spectral-norm estimation and rejected line-search trials, which consume
+products without producing records). For the interleaved solvers the
+residual recurrence of the CG cycle supplies gradients and objective
+values for free, so each CG step and each line-search trial costs
+exactly one product.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 from ql1.cg import (
     CurvatureBreak,
     cg_step,
+    cutback,
     cutback_alpha,
     init_cg_cycle,
     sufficient_decrease,
@@ -34,7 +38,14 @@ from ql1.subgrad import (
     support_grad_map,
 )
 
-ALGORITHMS = ("iicg1", "iicg2", "fista", "istabb")
+# The step policies each algorithm runs; the first entry is its default.
+_POLICIES = {
+    "iicg1": ("bb", "constant"),
+    "iicg2": ("bb", "constant"),
+    "fista": ("constant",),
+    "istabb": ("bb",),
+}
+ALGORITHMS = tuple(_POLICIES)
 
 STEP_ISTA = "ISTA"
 STEP_SUBISTA = "SUBISTA"
@@ -57,9 +68,13 @@ class SolverConfig:
     ``termination`` is "vnorm" (stop when the inf-norm of the
     minimum-norm subgradient falls below tol * max(1, its value at x0))
     or "fstar" (stop when the accuracy ratio against ``f_star`` is at
-    most tol; ``f_star`` must then be supplied). ``alpha_policy`` of
-    None picks the per-algorithm default: constant 1/L for FISTA, BB
-    line search otherwise. ``l_value`` injects an exact largest
+    most tol; ``f_star`` must then be supplied). ``alpha_policy`` picks
+    the first-order steplength: "bb" (BB nonmonotone line search) or
+    "constant" (1/L). ``iicg1`` and ``iicg2`` accept both and default to
+    "bb"; ``fista`` accepts only "constant" and ``istabb`` only "bb".
+    None selects the default, and any other value raises ValueError.
+    The balance test of ``iicg2`` uses the steplength
+    1/(``bal_factor`` * L). ``l_value`` injects an exact largest
     eigenvalue and skips power iteration (theory-check runs).
     """
 
@@ -69,19 +84,20 @@ class SolverConfig:
     f_star: float | None = None
     c: float = 1e-4
     alpha_policy: str | None = None
-    alpha_bal: float | None = None
     bal_factor: float = 1.0
     mv_budget: int = 50000
-    ls_window: int = 5
-    ls_xi: float = 0.005
-    ls_max_halvings: int = 60
     theory_checks: bool = False
     l_value: float | None = None
-    l_seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in _POLICIES:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        allowed = _POLICIES[self.algorithm]
+        if self.alpha_policy is not None and self.alpha_policy not in allowed:
+            raise ValueError(
+                f"{self.algorithm} does not run alpha_policy {self.alpha_policy!r}; "
+                f"choose from {', '.join(allowed)}"
+            )
         if self.termination not in ("vnorm", "fstar"):
             raise ValueError(f"unknown termination {self.termination!r}")
         if self.termination == "fstar" and self.f_star is None:
@@ -92,9 +108,7 @@ class SolverConfig:
             raise ValueError("mv_budget must be at least 1")
 
     def policy(self) -> str:
-        if self.alpha_policy is not None:
-            return self.alpha_policy
-        return "constant" if self.algorithm == "fista" else "bb"
+        return self.alpha_policy or _POLICIES[self.algorithm][0]
 
 
 @dataclass
@@ -277,33 +291,34 @@ def _start_point(problem: QuadraticProblem, run: _Run, x0) -> tuple[np.ndarray, 
 def _setup(problem: QuadraticProblem, cfg: SolverConfig, x0):
     run = _Run(problem, cfg)
     x, g, f = _start_point(problem, run, x0)
-    l_est = cfg.l_value if cfg.l_value is not None else estimate_max_eig(problem.op, cfg.l_seed)
+    l_est = cfg.l_value if cfg.l_value is not None else estimate_max_eig(problem.op)
     run.l_est = l_est
     run.begin(x, f, g)
     return run, x, g, f, l_est
 
 
-def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, variant: int, x0=None) -> RunTrace:
+def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
+    """The interleaved loop; ``istabb`` runs it with the CG cycle switched off."""
     op, b, tau = problem.op, problem.b, problem.tau
     run, x, g, f, l_est = _setup(problem, cfg, x0)
     alpha_const = 1.0 / l_est
-    alpha_bal = cfg.alpha_bal if cfg.alpha_bal is not None else 1.0 / (cfg.bal_factor * l_est)
+    alpha_bal = 1.0 / (cfg.bal_factor * l_est)
     curv_tol = 1e-14 * l_est
     rho_tol = 1e-14 * (1.0 + float(np.linalg.norm(b)))
     if run.check_stop(x, g, f):
         return run.finish()
 
-    mem = LineSearchMemory(m=cfg.ls_window, xi=cfg.ls_xi, max_halvings=cfg.ls_max_halvings)
+    mem = LineSearchMemory()
     mem.seed(f)
     use_bb = cfg.policy() == "bb"
     x_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
 
     while run.status is None:
-        # First-order phase. Variant 2 refines the current support when
+        # First-order phase. iiCG-2 refines the current support when
         # the balance condition holds and releases variables otherwise;
-        # variant 1 always takes the full step.
-        if variant == 2:
+        # the others always take the full step.
+        if cfg.algorithm == "iicg2":
             rel = release_grad(x, g, tau)
             smap = support_grad_map(x, g, tau, alpha_bal)
             mode = "subspace" if gradient_balance(rel, smap) else "full"
@@ -329,6 +344,8 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, variant: int, x0=N
         run.record(x, f, step_name)
         if run.check_stop(x, g, f):
             break
+        if cfg.algorithm == "istabb":
+            continue
 
         # Subspace CG cycle anchored at the fresh first-order point.
         st = init_cg_cycle(x, g, tau)
@@ -348,18 +365,9 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, variant: int, x0=N
                 break
             f_new = st_new.objective(b, tau)
             if crossed and not sufficient_decrease(f_new, f_pre, v_pre, cfg.c):
-                alpha_b, snap, moved = cutback_alpha(st.x, st.anchor, st.d)
-                if moved:
-                    x_c = st.x + alpha_b * st.d
-                    x_c[snap] = 0.0
-                else:
-                    x_c = st.x.copy()
-                r_c = st.r + alpha_b * st_new.last_ad
+                st = cutback(st, st_new.last_ad, cutback_alpha(st.x, st.anchor, st.d))
                 x_prev, g_prev = x, g
-                x = x_c
-                g = r_c - tau * st.anchor_sign
-                ax_c = r_c + b - tau * st.anchor_sign
-                f = 0.5 * float(x @ ax_c) - float(b @ x) + tau * float(np.abs(x).sum())
+                x, g, f = st.x, st.smooth_grad(b, tau), st.objective(b, tau)
                 run.record(x, f, STEP_CUTBACK)
                 run.check_stop(x, g, f)
                 break
@@ -405,50 +413,11 @@ def _solve_fista(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTr
     return run.finish()
 
 
-def _solve_istabb(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
-    run, x, g, f, l_est = _setup(problem, cfg, x0)
-    alpha_const = 1.0 / l_est
-    if run.check_stop(x, g, f):
-        return run.finish()
-    mem = LineSearchMemory(m=cfg.ls_window, xi=cfg.ls_xi, max_halvings=cfg.ls_max_halvings)
-    mem.seed(f)
-    x_prev: np.ndarray | None = None
-    g_prev: np.ndarray | None = None
-    while run.status is None:
-        res = bb_ls_step(problem, x, g, x_prev, g_prev, "full", mem, alpha_const)
-        x_prev, g_prev = x, g
-        x, g, f = res.x, res.g, res.f
-        run.record(x, f, STEP_LSFALLBACK if res.fallback else STEP_ISTA)
-        if run.check_stop(x, g, f):
-            break
-    return run.finish()
-
-
 def solve(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
     """Run the configured solver from x0 (default: the zero vector)."""
-    if cfg.algorithm == "iicg1":
-        return _solve_iicg(problem, cfg, variant=1, x0=x0)
-    if cfg.algorithm == "iicg2":
-        return _solve_iicg(problem, cfg, variant=2, x0=x0)
     if cfg.algorithm == "fista":
         return _solve_fista(problem, cfg, x0=x0)
-    return _solve_istabb(problem, cfg, x0=x0)
-
-
-def solve_iicg1(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
-    return _solve_iicg(problem, cfg, variant=1, x0=x0)
-
-
-def solve_iicg2(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
-    return _solve_iicg(problem, cfg, variant=2, x0=x0)
-
-
-def solve_fista(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
-    return _solve_fista(problem, cfg, x0=x0)
-
-
-def solve_istabb(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
-    return _solve_istabb(problem, cfg, x0=x0)
+    return _solve_iicg(problem, cfg, x0=x0)
 
 
 def reference_objective(problem: QuadraticProblem, mv_budget: int = 50000) -> float:

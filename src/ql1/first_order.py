@@ -68,7 +68,6 @@ class BBStepResult:
     x: np.ndarray
     g: np.ndarray
     f: float
-    ax: np.ndarray
     mv_used: int
     alpha_used: float
     fallback: bool
@@ -148,7 +147,6 @@ def bb_ls_step(
         x=x_trial,
         g=ax_trial - problem.b,
         f=f_trial,
-        ax=ax_trial,
         mv_used=mv_used,
         alpha_used=alpha,
         fallback=fallback,

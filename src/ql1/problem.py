@@ -19,6 +19,12 @@ def _as_vector(v, n: int, name: str = "v") -> np.ndarray:
     return v
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # min and max propagate NaN and expose inf without the temporary the size
+    # of a that np.isfinite(a).all() makes, which raised peak memory.
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 class CountingOperator:
     """Matrix-free application of a symmetric PSD operator A.
 
@@ -56,6 +62,8 @@ class DenseOperator(CountingOperator):
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"dense operator needs a square matrix, got shape {a.shape}")
+        if not _all_finite(a):
+            raise ValueError("dense operator matrix has non-finite entries")
         super().__init__(a.shape[0])
         self.a = a
         self._check_symmetry()
@@ -95,9 +103,11 @@ class FactoredOperator(CountingOperator):
         b_mat = np.asarray(b_mat, dtype=np.float64)
         if b_mat.ndim != 2:
             raise ValueError(f"factored operator needs a 2-D matrix, got shape {b_mat.shape}")
+        if not _all_finite(b_mat):
+            raise ValueError("factored operator matrix B has non-finite entries")
         gamma = float(gamma)
-        if gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        if not np.isfinite(gamma) or gamma < 0:
+            raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
         super().__init__(b_mat.shape[1])
         self.b_mat = b_mat
         self.gamma = gamma
@@ -124,9 +134,11 @@ class QuadraticProblem:
         self.op = op
         self.n = op.n
         self.b = _as_vector(b, self.n, "b")
+        if not _all_finite(self.b):
+            raise ValueError("b has non-finite entries")
         self.tau = float(tau)
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        if not np.isfinite(self.tau) or self.tau < 0:
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
 
     def objective(self, x, ax: np.ndarray | None = None) -> float:
         """F(x). Consumes one matrix-vector product unless ``ax`` (= A x) is supplied."""

@@ -5,7 +5,7 @@ import pytest
 
 from ql1.bench import (
     BenchResult,
-    alpha_sweep,
+    alpha_sweep_detail,
     cg_phase_histogram,
     dolan_more,
     mv_to_accuracy,
@@ -247,7 +247,7 @@ def test_bench_csv_roundtrip(tmp_path):
 
 def test_alpha_sweep_baseline_and_monotone_budget(tmp_path):
     manifest = _tiny_manifest(tmp_path)
-    table = alpha_sweep(manifest, [1.0, 10.0], tol=1e-4, mv_budget=5000)
+    table = alpha_sweep_detail(manifest, [1.0, 10.0], tol=1e-4, mv_budget=5000).table
     assert table[0] == (1.0, 1.0)  # by definition
     assert math.isfinite(table[1][1]) and table[1][1] > 0
 
@@ -255,6 +255,6 @@ def test_alpha_sweep_baseline_and_monotone_budget(tmp_path):
 def test_alpha_sweep_requires_baseline(tmp_path):
     manifest = _tiny_manifest(tmp_path)
     with pytest.raises(ValueError):
-        alpha_sweep(manifest, [10.0])
+        alpha_sweep_detail(manifest, [10.0])
     with pytest.raises(ValueError):
-        alpha_sweep(manifest, [0.5, 1.0])
+        alpha_sweep_detail(manifest, [0.5, 1.0])

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ql1.cg import (
+    CGState,
     CurvatureBreak,
     cg_step,
     cutback,
@@ -154,6 +158,14 @@ def test_objective_from_state_matches_direct_evaluation():
         assert abs(s.objective(b, p.tau) - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
+def _cut(x_k, anchor, d, ad):
+    """Cutback of the step along d from x_k, in a cycle anchored at anchor, residual 0."""
+    x_k, anchor, d, ad = (np.asarray(v, dtype=np.float64) for v in (x_k, anchor, d, ad))
+    r = np.zeros_like(x_k)
+    s = CGState(x=x_k, r=r, rho=r, d=d, anchor=anchor, anchor_sign=np.sign(anchor), rho_dot=0.0)
+    return cutback(s, ad, cutback_alpha(x_k, anchor, d))
+
+
 def test_cutback_hand_example():
     # grid-scan oracle confirmed: the largest sign-preserving step is 0.5
     x_cg = np.array([1.0, 1.0])
@@ -162,9 +174,12 @@ def test_cutback_hand_example():
     alpha_b, snap, moved = cutback_alpha(x_k, x_cg, d)
     assert moved
     assert alpha_b == 0.5
-    out = cutback(x_k, x_cg, d)
-    assert np.array_equal(out, [0.0, 2.5])
-    assert out[0] == 0.0  # snapped exactly
+    out = _cut(x_k, x_cg, d, ad=[4.0, -2.0])
+    assert np.array_equal(out.x, [0.0, 2.5])
+    assert out.x[0] == 0.0  # snapped exactly
+    assert np.array_equal(out.r, [2.0, -1.0])  # r + alpha_b * Ad
+    assert out.last_alpha == 0.5
+    assert np.array_equal(out.anchor, x_cg)
 
 
 def test_cutback_matches_scan_oracle():
@@ -192,14 +207,15 @@ def test_cutback_matches_scan_oracle():
 def test_cutback_off_orthant_returns_unchanged():
     x_cg = np.array([1.0, 1.0])
     x_k = np.array([1.0, -2.0])
-    out = cutback(x_k, x_cg, np.array([5.0, 5.0]))
-    assert np.array_equal(out, x_k)
+    out = _cut(x_k, x_cg, np.array([5.0, 5.0]), ad=[3.0, 3.0])
+    assert np.array_equal(out.x, x_k)
+    assert np.array_equal(out.r, [0.0, 0.0])  # alpha_b = 0: residual kept
 
 
 def test_cutback_zero_direction_no_move():
     x_cg = np.array([1.0, -1.0])
     x_k = np.array([2.0, -0.5])
-    assert np.array_equal(cutback(x_k, x_cg, np.zeros(2)), x_k)
+    assert np.array_equal(_cut(x_k, x_cg, np.zeros(2), ad=np.zeros(2)).x, x_k)
 
 
 def test_cutback_defensive_full_step():
@@ -207,7 +223,55 @@ def test_cutback_defensive_full_step():
     x_cg = np.array([1.0])
     x_k = np.array([1.0])
     d = np.array([2.0])
-    assert np.array_equal(cutback(x_k, x_cg, d), [3.0])
+    out = _cut(x_k, x_cg, d, ad=[6.0])
+    assert np.array_equal(out.x, [3.0])
+    assert np.array_equal(out.r, [6.0])
+
+
+_entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def _spd_cycle(draw):
+    n = draw(st.integers(1, 6))
+    raw = draw(hnp.arrays(np.float64, (n, n), elements=_entries))
+    a = raw @ raw.T
+    a = 0.5 * (a + a.T) + 0.1 * np.eye(n)
+    b = draw(hnp.arrays(np.float64, n, elements=_entries))
+    anchor = draw(hnp.arrays(np.float64, n, elements=_entries))
+    tau = draw(st.floats(0.0, 1.0))
+    return a, b, anchor, tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spd_cycle())
+def test_cutback_property_on_cycles(cycle):
+    # cut back every step of a CG cycle taken from an iterate on the
+    # anchor's orthant, as the solver does after a rejected crossing step
+    a, b, anchor, tau = cycle
+    op = DenseOperator(a)
+    p = QuadraticProblem(op, b, tau)
+    s = init_cg_cycle(anchor, a @ anchor - b, tau)
+    for _ in range(anchor.size + 2):
+        if not np.array_equal(np.sign(s.x), s.anchor_sign) or np.linalg.norm(s.rho) == 0.0:
+            break
+        try:
+            s_new, _ = cg_step(s, op)
+        except CurvatureBreak:
+            break
+        c = cutback(s, s_new.last_ad, cutback_alpha(s.x, s.anchor, s.d))
+        # the point lies on the anchor's closed orthant
+        assert np.all(np.sign(c.x) * s.anchor_sign >= 0.0)
+        assert np.all(c.x[s.anchor == 0.0] == 0.0)
+        # the residual is A x - b + tau*sign(anchor)
+        direct_r = a @ c.x - b + tau * s.anchor_sign
+        scale = 1.0 + np.abs(a).sum(axis=1).max() * max(np.abs(c.x).max(), np.abs(s.x).max())
+        scale += np.abs(b).max() + tau
+        assert np.abs(c.r - direct_r).max() <= 1e-10 * scale
+        # the objective read from the state is F
+        f = p.objective(c.x)
+        assert abs(c.objective(b, tau) - f) <= 1e-10 * scale * (1.0 + np.abs(c.x).sum())
+        s = s_new
 
 
 def test_orthant_model_hand_values():

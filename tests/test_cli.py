@@ -64,6 +64,14 @@ def test_solve_requires_fstar_value(tmp_path):
     assert main(["solve", str(prob_path), "--termination", "fstar"]) == 2
 
 
+def test_solve_rejects_policy_the_solver_ignores(tmp_path, capsys):
+    prob_path = tmp_path / "p.ql1p"
+    write_problem(prob_path, QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 1.0))
+    rc = main(["solve", str(prob_path), "--algorithm", "fista", "--alpha-policy", "bb"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_fstar_prints_reference(tmp_path, capsys):
     prob_path = tmp_path / "p.ql1p"
     write_problem(prob_path, QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 1.0))

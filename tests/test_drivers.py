@@ -295,3 +295,20 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(mv_budget=0)
+
+
+def test_alpha_policy_table():
+    # each algorithm runs the policies it lists, the first by default;
+    # a policy it would ignore is rejected, not silently replaced
+    assert SolverConfig(algorithm="fista").policy() == "constant"
+    for algo in ("iicg1", "iicg2", "istabb"):
+        assert SolverConfig(algorithm=algo).policy() == "bb"
+    for algo in ("iicg1", "iicg2"):
+        assert SolverConfig(algorithm=algo, alpha_policy="constant").policy() == "constant"
+    with pytest.raises(ValueError, match="fista"):
+        SolverConfig(algorithm="fista", alpha_policy="bb")
+    with pytest.raises(ValueError, match="istabb"):
+        SolverConfig(algorithm="istabb", alpha_policy="constant")
+    for algo in ALGOS:
+        with pytest.raises(ValueError):
+            SolverConfig(algorithm=algo, alpha_policy="sgd")

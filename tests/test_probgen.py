@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,16 @@ def test_read_reports_truncation_with_lengths(tmp_path):
         read_problem(bad)
     message = str(exc_info.value)
     assert "need" in message and "have" in message and "offset" in message
+
+
+def test_read_rejects_non_finite_values(tmp_path):
+    good = tmp_path / "good.ql1p"
+    write_problem(good, gen_elastic_net(4, 6, 1.0, 0.1, 0.2, seed=1).problem)
+    data = good.read_bytes()
+    bad = tmp_path / "nan.ql1p"
+    bad.write_bytes(data[:-8] + struct.pack("<d", float("nan")))  # tau is the last field
+    with pytest.raises(ValueError, match="finite"):
+        read_problem(bad)
 
 
 def test_read_rejects_trailing_bytes(tmp_path):

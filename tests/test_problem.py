@@ -144,6 +144,25 @@ def test_tau_must_be_nonnegative():
         QuadraticProblem(DenseOperator(np.eye(2)), np.zeros(2), -1.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QuadraticProblem(DenseOperator(np.eye(2)), [1.0, np.nan], 1.0),
+        lambda: QuadraticProblem(DenseOperator(np.eye(2)), [1.0, np.inf], 1.0),
+        lambda: QuadraticProblem(DenseOperator(np.eye(2)), np.zeros(2), np.nan),
+        lambda: QuadraticProblem(DenseOperator(np.eye(2)), np.zeros(2), np.inf),
+        lambda: DenseOperator([[1.0, np.nan], [np.nan, 1.0]]),
+        lambda: DenseOperator([[np.inf, 0.0], [0.0, 1.0]]),
+        lambda: FactoredOperator([[1.0, np.inf]], 0.5),
+        lambda: FactoredOperator([[1.0, 2.0]], np.nan),
+        lambda: FactoredOperator([[1.0, 2.0]], np.inf),
+    ],
+)
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_b_dimension_checked():
     with pytest.raises(ValueError):
         QuadraticProblem(DenseOperator(np.eye(2)), np.zeros(3), 1.0)
