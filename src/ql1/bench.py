@@ -92,7 +92,7 @@ def run_suite(
                 seconds = time.perf_counter() - t0
                 mv = mv_to_accuracy(trace, f_star, tol)
                 if mv is not None and mv > mv_budget:
-                    mv = None  # a line-search trial overshot the budget
+                    mv = None  # the set-up alone used more than the budget
                 final_acc = accuracy(trace.f_best, f_star)
                 results.append(
                     BenchResult(row.problem, solver, tol, mv, seconds, final_acc, trace.status)

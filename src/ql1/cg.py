@@ -19,7 +19,15 @@ from ql1.problem import CountingOperator
 
 
 class CurvatureBreak(Exception):
-    """Raised when d'Ad is numerically nonpositive; the cycle must end."""
+    """Raised when d'Ad is numerically nonpositive; the cycle must end.
+
+    ``curvature`` is d'Ad / d'd (0.0 for a zero direction), which lets the
+    caller tell roundoff on a singular A from negative curvature.
+    """
+
+    def __init__(self, curvature: float):
+        super().__init__(f"d'Ad/d'd = {curvature:.3e} below curvature guard")
+        self.curvature = curvature
 
 
 @dataclass
@@ -72,8 +80,9 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     """
     ad = op.apply(s.d)
     dad = float(s.d @ ad)
-    if dad <= curv_tol * float(s.d @ s.d):
-        raise CurvatureBreak(f"d'Ad = {dad:.3e} below curvature guard")
+    dd = float(s.d @ s.d)
+    if dad <= curv_tol * dd:
+        raise CurvatureBreak(dad / dd if dd > 0.0 else 0.0)
     alpha = s.rho_dot / dad
     x_new = s.x + alpha * s.d
     r_new = s.r + alpha * ad

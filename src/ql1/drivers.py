@@ -56,9 +56,20 @@ STEP_LSFALLBACK = "LSFALLBACK"
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget"
 STATUS_STALLED = "stalled"
+STATUS_UNBOUNDED = "unbounded"
 
 _STALL_EPS = 1e-16
 _STALL_MV = 1000
+# A CG direction with d'Ad below -_NEG_CURV * L * d'd proves A indefinite;
+# the guard that merely ends a cycle sits at +1e-14 * L, inside roundoff.
+_NEG_CURV = 1e-8
+
+# Lanczos estimate of the largest eigenvalue: product cap, relative
+# Ritz-value change that stops it, and the beta (relative to the Ritz
+# value) below which the Krylov space counts as invariant.
+_EIG_MAX_PRODUCTS = 200
+_EIG_RTOL = 1e-5
+_EIG_INVARIANT = 1e-14
 
 
 @dataclass
@@ -75,7 +86,9 @@ class SolverConfig:
     None selects the default, and any other value raises ValueError.
     The balance test of ``iicg2`` uses the steplength
     1/(``bal_factor`` * L). ``l_value`` injects an exact largest
-    eigenvalue and skips power iteration (theory-check runs).
+    eigenvalue and skips the Lanczos estimate (theory-check runs).
+    No operator product is started past ``mv_budget`` once the set-up
+    is paid.
     """
 
     algorithm: str = "iicg2"
@@ -152,12 +165,20 @@ def accuracy(f_k: float, f_star: float) -> float:
 
 
 def estimate_max_eig(op: CountingOperator, seed: int = 0) -> float:
-    """Largest-eigenvalue estimate by power iteration, times a 1.01 safety factor.
+    """Largest-eigenvalue estimate by Lanczos, times a 1.01 safety factor.
 
-    Starts from a seeded random unit vector and stops when the Rayleigh
-    quotient's relative change is at most 1e-4, or after 200 iterations.
-    Every product is charged to the operator's counter. A zero operator
-    yields 1.0 (any steplength is then valid).
+    Runs the three-term recurrence beta_j v_{j+1} = A v_j - alpha_j v_j
+    - beta_{j-1} v_{j-1} from a seeded random unit vector, without
+    reorthogonalisation, and after each product takes the largest
+    eigenvalue (Ritz value) of the leading j-by-j block of the
+    tridiagonal T = tridiag(beta, alpha, beta). Ritz values approach
+    the largest eigenvalue from below, faster than power iteration's
+    Rayleigh quotient from the same start. The loop stops when the Ritz
+    value's relative change is at most 1e-5, when beta_j is zero (the
+    Krylov space is invariant and the value is exact), or after 200
+    products. Every product is charged to the operator's counter. A zero
+    operator, or any nonpositive estimate, yields 1.0 (any steplength is
+    then valid).
     """
     if op.n < 1:
         raise ValueError("operator dimension must be at least 1")
@@ -168,21 +189,28 @@ def estimate_max_eig(op: CountingOperator, seed: int = 0) -> float:
         v = np.ones(op.n)
         norm = float(np.linalg.norm(v))
     v /= norm
-    rq = 0.0
-    rq_prev = None
-    for _ in range(200):
+    v_prev = None
+    tri = np.zeros((_EIG_MAX_PRODUCTS + 1, _EIG_MAX_PRODUCTS + 1))
+    ritz = 0.0
+    for j in range(_EIG_MAX_PRODUCTS):
         w = op.apply(v)
-        rq = float(v @ w)
-        wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            return 1.0
-        if rq_prev is not None and abs(rq - rq_prev) <= 1e-4 * abs(rq):
+        alpha = float(v @ w)
+        w -= alpha * v
+        if v_prev is not None:
+            w -= tri[j, j - 1] * v_prev
+        tri[j, j] = alpha
+        ritz_prev = ritz
+        ritz = float(np.linalg.eigvalsh(tri[: j + 1, : j + 1])[-1])
+        beta = float(np.linalg.norm(w))
+        if beta <= _EIG_INVARIANT * abs(ritz):
             break
-        rq_prev = rq
-        v = w / wnorm
-    if rq <= 0.0:
+        if j > 0 and abs(ritz - ritz_prev) <= _EIG_RTOL * abs(ritz):
+            break
+        tri[j + 1, j] = tri[j, j + 1] = beta
+        v_prev, v = v, w / beta
+    if ritz <= 0.0:
         return 1.0
-    return 1.01 * rq
+    return 1.01 * ritz
 
 
 class _Run:
@@ -243,6 +271,9 @@ class _Run:
 
     def check_stop(self, x: np.ndarray, g: np.ndarray, f: float) -> bool:
         """Updates status after a step; True means the solve is over."""
+        if not np.isfinite(f):
+            self.status = STATUS_UNBOUNDED
+            return True
         if self.converged(x, g, f):
             self.status = STATUS_CONVERGED
             return True
@@ -315,6 +346,11 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
     g_prev: np.ndarray | None = None
 
     while run.status is None:
+        # An unrecorded product (a curvature break) can use up the budget.
+        mv_left = cfg.mv_budget - run.mv
+        if mv_left < 1:
+            run.status = STATUS_BUDGET
+            break
         # First-order phase. iiCG-2 refines the current support when
         # the balance condition holds and releases variables otherwise;
         # the others always take the full step.
@@ -325,7 +361,7 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
         else:
             mode = "full"
         if use_bb:
-            res = bb_ls_step(problem, x, g, x_prev, g_prev, mode, mem, alpha_const)
+            res = bb_ls_step(problem, x, g, x_prev, g_prev, mode, mem, alpha_const, mv_left)
             x_prev, g_prev = x, g
             x, g, f = res.x, res.g, res.f
             if res.fallback:
@@ -361,7 +397,9 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
             f_pre = f
             try:
                 st_new, crossed = cg_step(st, op, curv_tol)
-            except CurvatureBreak:
+            except CurvatureBreak as brk:
+                if brk.curvature < -_NEG_CURV * l_est:
+                    run.status = STATUS_UNBOUNDED
                 break
             f_new = st_new.objective(b, tau)
             if crossed and not sufficient_decrease(f_new, f_pre, v_pre, cfg.c):

@@ -102,6 +102,7 @@ def bb_ls_step(
     mode: str,
     mem: LineSearchMemory,
     fallback_alpha: float,
+    mv_left: int | None = None,
 ) -> BBStepResult:
     """One BB step with nonmonotone halving line search.
 
@@ -115,9 +116,13 @@ def bb_ls_step(
     the halved steplength appearing because the halving precedes the
     test. If ``max_halvings`` trials all fail, the step falls back to
     ``fallback_alpha`` and is accepted unconditionally (flagged).
+    ``mv_left`` (at least 1) caps the number of trials: when it is used
+    up, the last trial is returned although the test rejected it.
     """
     if mode not in ("full", "subspace"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mv_left is not None and mv_left < 1:
+        raise ValueError(f"mv_left must be at least 1, got {mv_left}")
     tau = problem.tau
     reference = mem.reference
     alpha = bb_stepsize(x, x_prev, g, g_prev, fallback_alpha)
@@ -140,6 +145,8 @@ def bb_ls_step(
             break
         diff = x - x_trial
         if f_trial <= reference - (alpha / 2.0) * mem.xi * float(diff @ diff):
+            break
+        if mv_used == mv_left:
             break
         alpha /= 2.0
     mem.push(f_trial)

@@ -177,3 +177,12 @@ def test_gen_suite_writes_manifest(tmp_path):
     assert len(rows) == 48
     for row in rows[:3]:
         read_problem(row.path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_indefinite_exits_one(tmp_path, capsys):
+    prob_path = tmp_path / "indef.ql1p"
+    write_problem(prob_path, QuadraticProblem(DenseOperator(np.diag([1.0, -1.0, 2.0])),
+                                              np.ones(3), 0.1))
+    assert main(["solve", str(prob_path)]) == 1
+    assert "status=unbounded" in capsys.readouterr().out

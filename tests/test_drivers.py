@@ -5,6 +5,7 @@ from ql1.drivers import (
     STATUS_BUDGET,
     STATUS_CONVERGED,
     STATUS_STALLED,
+    STATUS_UNBOUNDED,
     SolverConfig,
     accuracy,
     estimate_max_eig,
@@ -13,8 +14,9 @@ from ql1.drivers import (
     solve,
     write_trace_csv,
 )
+from ql1.fileio import read_problem
 from ql1.first_order import ista_step
-from ql1.probgen import gen_strict_comp
+from ql1.probgen import gen_elastic_net, gen_strict_comp
 from ql1.problem import DenseOperator, FactoredOperator, QuadraticProblem
 from ql1.subgrad import min_norm_subgrad, release_grad
 
@@ -30,7 +32,7 @@ def test_estimate_max_eig_identity():
     op = DenseOperator(np.eye(5))
     est = estimate_max_eig(op)
     assert est == pytest.approx(1.01, rel=1e-4)
-    assert op.mv_count > 0  # power iteration is charged
+    assert op.mv_count > 0  # the Lanczos estimate is charged
 
 
 def test_estimate_max_eig_diagonal():
@@ -46,6 +48,28 @@ def test_estimate_max_eig_factored_scalar():
 
 def test_estimate_max_eig_zero_operator():
     assert estimate_max_eig(DenseOperator(np.zeros((3, 3)))) == 1.0
+
+
+def test_estimate_max_eig_brackets_lambda_max_on_desk_suite(desk_manifest):
+    # the Ritz value never overshoots, and converges to within the 1.01 margin
+    for row in desk_manifest:
+        op = read_problem(row.path).op
+        if op.kind == "dense":
+            lam = float(np.linalg.eigvalsh(op.dense())[-1])
+        else:
+            lam = float(np.linalg.norm(op.b_mat, 2)) ** 2 + 2.0 * op.gamma
+        est = estimate_max_eig(op)
+        assert lam <= est <= 1.01 * lam * (1.0 + 1e-12), row.problem
+
+
+def test_estimate_charge_is_the_setup_cost():
+    inst = gen_strict_comp(25, 6, 80.0, 0.4, 0.5, seed=4)
+    before = inst.problem.op.mv_count
+    estimate_max_eig(inst.problem.op)
+    charged = inst.problem.op.mv_count - before
+    for algo in ALGOS:
+        tr = solve(inst.problem, SolverConfig(algorithm=algo, tol=1e-10))
+        assert tr.mv_setup == charged
 
 
 def test_one_dimensional_solution_all_solvers():
@@ -133,7 +157,7 @@ def test_reported_work_equals_counter_delta():
         before = inst.problem.op.mv_count
         tr = solve(inst.problem, SolverConfig(algorithm=algo, tol=1e-10))
         assert tr.mv_total == inst.problem.op.mv_count - before
-        assert tr.mv_setup > 0  # power iteration charged
+        assert tr.mv_setup > 0  # the Lanczos estimate is charged
 
 
 def test_smooth_case_matches_linear_solve():
@@ -211,6 +235,29 @@ def test_budget_exhaustion():
     tr = solve(inst.problem, SolverConfig(algorithm="iicg2", tol=1e-12, mv_budget=1))
     assert tr.status == STATUS_BUDGET
     assert tr.final_x is not None
+
+
+def test_mv_budget_is_a_hard_cap():
+    p = gen_elastic_net(50, 100, 10, 0, 1, seed=3).problem
+    for algo in ALGOS:
+        setup = solve(p, SolverConfig(algorithm=algo, mv_budget=1)).mv_setup
+        for budget in range(setup + 1, setup + 100):
+            tr = solve(p, SolverConfig(algorithm=algo, tol=1e-14, mv_budget=budget))
+            assert tr.mv_total <= budget, (algo, budget)
+            assert tr.status == STATUS_BUDGET, (algo, budget)
+            assert p.objective(tr.final_x) == pytest.approx(tr.f_best, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_indefinite_operator_is_unbounded():
+    p = QuadraticProblem(DenseOperator(np.diag([1.0, -1.0, 2.0])), np.ones(3), 0.1)
+    for algo in ALGOS:
+        tr = solve(p, SolverConfig(algorithm=algo, mv_budget=2000))
+        assert tr.status == STATUS_UNBOUNDED, algo
+        assert tr.mv_total < 2000
+        if algo.startswith("iicg"):
+            # the first CG direction already has negative curvature
+            assert tr.mv_total - tr.mv_setup <= 3 and np.isfinite(tr.f_final)
 
 
 def test_stalled_when_target_unreachable():

@@ -234,6 +234,21 @@ def test_bb_ls_fallback_after_max_halvings():
     assert mem.window[0] == res.f
 
 
+def test_bb_ls_stops_at_mv_left():
+    # the same unreachable reference: mv_left ends the search before the fallback
+    p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 0.0)
+    mem = LineSearchMemory(max_halvings=5)
+    mem.window = [-1e9] * mem.m
+    res = bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, "full", mem,
+                     fallback_alpha=0.125, mv_left=3)
+    assert res.trials == res.mv_used == p.op.mv_count == 3
+    assert not res.fallback
+    assert res.alpha_used == 0.125 / 4
+    with pytest.raises(ValueError):
+        bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, "full", mem,
+                   fallback_alpha=0.125, mv_left=0)
+
+
 def test_line_search_memory_window_shift():
     mem = LineSearchMemory(m=3)
     mem.seed(5.0)
