@@ -145,9 +145,14 @@ class RunTrace:
     v0_norm: float
     l_est: float
     xs: list[np.ndarray] | None = None
+    mv_count: int | None = None
 
     @property
     def mv_total(self) -> int:
+        """Products the solve charged: ``mv_count`` when the driver set it,
+        else the last record's (a run can end on an unrecorded product)."""
+        if self.mv_count is not None:
+            return self.mv_count
         return self.records[-1].mv if self.records else self.mv_setup
 
     @property
@@ -302,6 +307,7 @@ class _Run:
             v0_norm=self.v0_norm,
             l_est=self.l_est,
             xs=self.xs,
+            mv_count=self.mv,
         )
 
 

@@ -17,9 +17,9 @@ Writing then reading reproduces every field bit-exactly.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,39 +40,47 @@ class ProblemFormatError(ValueError):
 
 
 def write_problem(path, problem: QuadraticProblem) -> None:
+    # arrays go to the file through their buffers, with no bytes copy
     op = problem.op
     parts = [MAGIC, struct.pack("<I", VERSION)]
     if isinstance(op, DenseOperator):
         parts.append(struct.pack("<B", _KIND_DENSE))
         parts.append(struct.pack("<Q", op.n))
-        parts.append(np.ascontiguousarray(op.a, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(op.a, dtype="<f8"))
     elif isinstance(op, FactoredOperator):
         parts.append(struct.pack("<B", _KIND_FACTORED))
         parts.append(struct.pack("<Q", op.n))
         parts.append(struct.pack("<Q", op.m))
-        parts.append(np.ascontiguousarray(op.b_mat, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(op.b_mat, dtype="<f8"))
         parts.append(struct.pack("<d", op.gamma))
     else:
         raise TypeError(f"cannot serialize operator of type {type(op).__name__}")
-    parts.append(np.ascontiguousarray(problem.b, dtype="<f8").tobytes())
+    parts.append(np.ascontiguousarray(problem.b, dtype="<f8"))
     parts.append(struct.pack("<d", problem.tau))
-    Path(path).write_bytes(b"".join(parts))
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Cursor over an open QL1P file; arrays are read into their own buffers."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.data):
+    def _advance(self, count: int, what: str) -> None:
+        if self.pos + count > self.size:
             raise ProblemFormatError(
-                f"truncated file while reading {what}: need {self.pos + count} bytes, have {len(self.data)}",
+                f"truncated file while reading {what}: need {self.pos + count} bytes, have {self.size}",
                 self.pos,
             )
-        chunk = self.data[self.pos : self.pos + count]
         self.pos += count
-        return chunk
+
+    def take(self, count: int, what: str) -> bytes:
+        self._advance(count, what)
+        return self.fh.read(count)
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -87,13 +95,20 @@ class _Reader:
         return struct.unpack("<d", self.take(8, what))[0]
 
     def f64_array(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        self._advance(8 * count, what)
+        # a fresh array per field: writable, and it aliases no file buffer
+        out = np.empty(count, dtype="<f8")
+        if self.fh.readinto(memoryview(out).cast("B")) != 8 * count:
+            raise ProblemFormatError(f"file shrank while reading {what}", self.pos - 8 * count)
+        return out.astype(np.float64, copy=False)
 
 
 def read_problem(path) -> QuadraticProblem:
-    data = Path(path).read_bytes()
-    rd = _Reader(data)
+    with open(path, "rb") as fh:
+        return _parse(_Reader(fh))
+
+
+def _parse(rd: _Reader) -> QuadraticProblem:
     magic = rd.take(4, "magic")
     if magic != MAGIC:
         raise ProblemFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
@@ -114,9 +129,9 @@ def read_problem(path) -> QuadraticProblem:
         raise ProblemFormatError(f"unknown operator kind {kind}", 8)
     b = rd.f64_array(n, "b vector")
     tau = rd.f64("tau")
-    if rd.pos != len(data):
+    if rd.pos != rd.size:
         raise ProblemFormatError(
-            f"trailing data: file has {len(data)} bytes, format ends at {rd.pos}", rd.pos
+            f"trailing data: file has {rd.size} bytes, format ends at {rd.pos}", rd.pos
         )
     return QuadraticProblem(op, b, tau)
 

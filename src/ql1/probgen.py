@@ -9,7 +9,7 @@ generator's docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +114,8 @@ def gen_sigrec(
         while s[pos] != 0.0:
             pos = int(rng.uniform() * n)
         s[pos] = 1.0 if rng.uniform() < 0.5 else -1.0
-    b_mat = rng.normals(m * n).reshape(m, n) / np.sqrt(m)
+    b_mat = rng.normals(m * n).reshape(m, n)
+    b_mat /= np.sqrt(m)
     noise = rng.normals(m)
     y = b_mat @ s + noise_sigma * noise
     op = FactoredOperator(b_mat, gamma)
@@ -242,25 +243,30 @@ def desk_suite(outdir) -> list[ManifestRow]:
         )
 
     def factored_family(code: str, base_seed: int, gammas: dict, make) -> None:
+        # b does not depend on tau, so the tau-free probe is the instance
         for ri, (regime, gamma) in enumerate(gammas.items()):
             for vi, frac in enumerate(_TAU_FRACS):
                 seed = base_seed + 10 * ri + vi
-                probe = make(gamma=gamma, tau=0.0, seed=seed)
+                probe = make(gamma=gamma, seed=seed)
                 tau = frac * float(np.abs(probe.problem.b).max())
-                inst = make(gamma=gamma, tau=tau, seed=seed)
+                inst = replace(
+                    probe,
+                    problem=QuadraticProblem(probe.problem.op, probe.problem.b, tau),
+                    params={**probe.params, "tau": tau},
+                )
                 emit(f"{code}{regime}{vi + 1}", inst, spd=gamma > 0.0)
 
     factored_family(
         "en", 1000, _EN_GAMMAS,
-        lambda gamma, tau, seed: gen_elastic_net(250, 500, 500.0, gamma, tau, seed),
+        lambda gamma, seed: gen_elastic_net(250, 500, 500.0, gamma, 0.0, seed),
     )
     factored_family(
         "pn", 2000, _EN_GAMMAS,
-        lambda gamma, tau, seed: gen_elastic_net(125, 500, 1.0, gamma, tau, seed),
+        lambda gamma, seed: gen_elastic_net(125, 500, 1.0, gamma, 0.0, seed),
     )
     factored_family(
         "sg", 3000, _SG_GAMMAS,
-        lambda gamma, tau, seed: gen_sigrec(256, 1024, 32, 0.01, gamma, tau, seed),
+        lambda gamma, seed: gen_sigrec(256, 1024, 32, 0.01, gamma, 0.0, seed),
     )
     for ri, (regime, cond) in enumerate(_SC_CONDS.items()):
         for vi, (tau, nnz) in enumerate(_SC_VARIANTS):

@@ -150,14 +150,20 @@ def test_accuracy_values():
     assert accuracy(1e-13, 0.0) == pytest.approx(0.1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reported_work_equals_counter_delta():
-    # every operator application during a solve is visible in the trace
-    inst = gen_strict_comp(25, 6, 80.0, 0.4, 0.5, seed=4)
-    for algo in ALGOS:
-        before = inst.problem.op.mv_count
-        tr = solve(inst.problem, SolverConfig(algorithm=algo, tol=1e-10))
-        assert tr.mv_total == inst.problem.op.mv_count - before
-        assert tr.mv_setup > 0  # the Lanczos estimate is charged
+    # every operator application during a solve is visible in the trace,
+    # also the CG product whose negative curvature ends an indefinite run
+    problems = [
+        gen_strict_comp(25, 6, 80.0, 0.4, 0.5, seed=4).problem,
+        QuadraticProblem(DenseOperator(np.diag([1.0, -1.0, 2.0])), np.ones(3), 0.1),
+    ]
+    for problem in problems:
+        for algo in ALGOS:
+            before = problem.op.mv_count
+            tr = solve(problem, SolverConfig(algorithm=algo, tol=1e-10, mv_budget=2000))
+            assert tr.mv_total == problem.op.mv_count - before, algo
+            assert tr.mv_setup > 0  # the Lanczos estimate is charged
 
 
 def test_smooth_case_matches_linear_solve():

@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +172,9 @@ def test_roundtrip_bit_exact_all_kinds(tmp_path):
         assert back.tau == problem.tau
         assert np.array_equal(back.b, problem.b)
         assert np.array_equal(back.op.dense(), problem.op.dense())
+        # read arrays are private copies, not views of the file's bytes
+        matrix = back.op.b_mat if isinstance(back.op, FactoredOperator) else back.op.a
+        assert matrix.flags.writeable and back.b.flags.writeable
 
 
 def test_read_rejects_wrong_magic(tmp_path):
@@ -198,6 +203,21 @@ def test_read_reports_truncation_with_lengths(tmp_path):
     assert "need" in message and "have" in message and "offset" in message
 
 
+def test_read_detects_a_file_that_shrinks_while_open(tmp_path):
+    # sizes are checked against the size at open; a short read of an
+    # array must fail rather than leave uninitialised values
+    from ql1.fileio import _parse, _Reader
+
+    path = tmp_path / "shrinks.ql1p"
+    write_problem(path, gen_elastic_net(4, 6, 1.0, 0.1, 0.2, seed=1).problem)
+    with open(path, "rb") as fh:
+        rd = _Reader(fh)
+        with open(path, "r+b") as other:
+            other.truncate(25 + 8)  # header plus one matrix entry
+        with pytest.raises(ProblemFormatError, match="shrank"):
+            _parse(rd)
+
+
 def test_read_rejects_non_finite_values(tmp_path):
     good = tmp_path / "good.ql1p"
     write_problem(good, gen_elastic_net(4, 6, 1.0, 0.1, 0.2, seed=1).problem)
@@ -215,3 +235,38 @@ def test_read_rejects_trailing_bytes(tmp_path):
     bad.write_bytes(good.read_bytes() + b"\x00")
     with pytest.raises(ProblemFormatError):
         read_problem(bad)
+
+
+def test_desk_suite_rows_equal_fresh_generator_calls(desk_manifest, tmp_path):
+    # the suite builds each factored instance from its tau-free probe;
+    # the file must equal a direct call at the row's seed and the file's tau
+    make = {
+        "en": lambda gamma, tau, seed: gen_elastic_net(250, 500, 500.0, gamma, tau, seed),
+        "pn": lambda gamma, tau, seed: gen_elastic_net(125, 500, 1.0, gamma, tau, seed),
+        "sg": lambda gamma, tau, seed: gen_sigrec(256, 1024, 32, 0.01, gamma, tau, seed),
+    }
+    rows = {row.problem: row for row in desk_manifest}
+    for name in ("eni2", "pnm3", "sgs4"):
+        row = rows[name]
+        stored = read_problem(row.path)
+        fresh = make[name[:2]](stored.op.gamma, stored.tau, row.seed)
+        path = tmp_path / f"{name}.ql1p"
+        write_problem(path, fresh.problem)
+        assert path.read_bytes() == Path(row.path).read_bytes(), name
+        assert row.param("tau") == f"{stored.tau:.12g}"
+
+
+def test_factored_generators_need_about_the_instance_size():
+    # draws fill their output in chunks and B is scaled in place, so no
+    # full-size temporary is made beside the matrix
+    for make in (
+        lambda: gen_elastic_net(250, 500, 500.0, 0.0, 0.1, seed=1),
+        lambda: gen_sigrec(250, 500, 32, 0.01, 0.0, 0.1, seed=1),
+    ):
+        tracemalloc.start()
+        try:
+            make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 250 * 500 * 8

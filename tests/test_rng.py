@@ -1,8 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from ql1.rng import Rng
+from ql1.rng import _CHUNK, _GAMMA, _MASK, Rng
 
 # First four outputs of the published SplitMix64 algorithm, computed
 # with an independent transcription and cross-checked against the
@@ -104,3 +107,76 @@ def test_normal_moments_sane():
     vals = Rng(2).normals(200_000)
     assert abs(vals.mean()) < 0.01
     assert abs(vals.std() - 1.0) < 0.01
+
+
+CHUNK_COUNTS = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+
+
+@pytest.mark.parametrize("count", CHUNK_COUNTS)
+def test_chunked_draws_match_scalar_across_chunk_boundaries(count):
+    rng_a = Rng(2024)
+    rng_b = Rng(2024)
+    batch = rng_a.uniforms(count)
+    loop = np.array([rng_b.uniform() for _ in range(count)])
+    assert batch.tobytes() == loop.tobytes()
+    assert rng_a.state == rng_b.state
+
+    rng_a = Rng(2024)
+    rng_b = Rng(2024)
+    batch = rng_a.normals(count)
+    loop = np.array([rng_b.normal() for _ in range(count)])
+    assert batch.shape == (count,)
+    assert rng_a.state == rng_b.state
+    # numpy's vector log/cos and libm's may differ in the last bit, so
+    # the bit check applies the whole-array formula to the scalar
+    # stream's (u1, u2) pairs and libm gets a few ulps
+    stream = Rng(2024)
+    u = np.array([stream.uniform() for _ in range(2 * count)])
+    u1, u2 = u[0::2], u[1::2]
+    whole = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    assert batch.tobytes() == whole.tobytes()
+    assert np.allclose(batch, loop, rtol=1e-14, atol=1e-15)
+
+
+def test_zero_u1_in_a_later_chunk_falls_back_to_scalar():
+    # this seed puts stream position 2i+1 at state 0, whose output is 0,
+    # so normal i has u1 exactly 0.0 and is redrawn
+    i = _CHUNK + 5
+    seed = (-(2 * i + 1) * _GAMMA) & _MASK
+    probe = Rng(seed)
+    probe.state = (seed + 2 * i * _GAMMA) & _MASK
+    assert probe.uniform() == 0.0
+    count = 2 * _CHUNK + 3
+    rng_a = Rng(seed)
+    rng_b = Rng(seed)
+    batch = rng_a.normals(count)
+    loop = np.array([rng_b.normal() for _ in range(count)])
+    assert batch.tobytes() == loop.tobytes()
+    assert rng_a.state == rng_b.state
+    assert rng_a.state == (seed + (2 * count + 1) * _GAMMA) & _MASK  # one extra draw
+
+
+def test_normals_peak_memory_is_about_the_output():
+    count = 10**6
+    tracemalloc.start()
+    try:
+        Rng(0).normals(count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * count
+
+
+@pytest.mark.parametrize(
+    "seed, digest, state",
+    [
+        (0, "69ae64e2f4bace4d83a281dca973ab4902e62efe96b8a5b2ee5721784c0919a9", 0xE4BAF05B6AFC4C69),
+        (12345, "03b401959c252516a06dc6faeaef1ec74647c9ed1954426aa39e5675c290a772", 0xE4BAF05B6AFC7CA2),
+    ],
+)
+def test_uniforms_golden_digest(seed, digest, state):
+    # integer-only path, so the bits are the same on every platform;
+    # 24581 draws span three chunks and a partial fourth
+    rng = Rng(seed)
+    assert hashlib.sha256(rng.uniforms(24581).tobytes()).hexdigest() == digest
+    assert rng.state == state
