@@ -15,7 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ql1.problem import CountingOperator
+from ql1.problem import CountingOperator, objective_from_ax
+
+
+# Curvature u'Au/u'u below -NEG_CURV * L proves A indefinite; the guard
+# that merely ends a CG cycle sits at +1e-14 * L, inside roundoff.
+NEG_CURV = 1e-8
 
 
 class CurvatureBreak(Exception):
@@ -38,18 +43,19 @@ class CGState:
     d: np.ndarray          # search direction, supported on the free subspace
     anchor: np.ndarray     # point where the cycle started
     anchor_sign: np.ndarray
+    free: np.ndarray       # anchor != 0: the subspace the cycle moves in
+    shift: np.ndarray      # tau*sign(anchor), so that r = Ax - b + shift
     rho_dot: float         # cached r'rho = ||rho||^2
     last_ad: np.ndarray | None = None   # A d of the step that produced this state
     last_alpha: float = 0.0             # steplength of that step
 
-    def smooth_grad(self, b: np.ndarray, tau: float) -> np.ndarray:
+    def smooth_grad(self) -> np.ndarray:
         """Gradient Ax - b at the current iterate, from the cached residual."""
-        return self.r - tau * self.anchor_sign
+        return self.r - self.shift
 
     def objective(self, b: np.ndarray, tau: float) -> float:
         """F at the current iterate with zero extra matrix-vector products."""
-        ax = self.r + b - tau * self.anchor_sign
-        return 0.5 * float(self.x @ ax) - float(b @ self.x) + tau * float(np.abs(self.x).sum())
+        return objective_from_ax(self.x, self.r + b - self.shift, b, tau)
 
 
 def init_cg_cycle(x, g, tau: float) -> CGState:
@@ -57,8 +63,10 @@ def init_cg_cycle(x, g, tau: float) -> CGState:
     x = np.asarray(x, dtype=np.float64).copy()
     g = np.asarray(g, dtype=np.float64)
     sign = np.sign(x)
-    r = g + tau * sign
-    rho = np.where(x == 0.0, 0.0, r)
+    shift = tau * sign
+    free = x != 0.0
+    r = g + shift
+    rho = np.where(free, r, 0.0)
     return CGState(
         x=x,
         r=r,
@@ -66,6 +74,8 @@ def init_cg_cycle(x, g, tau: float) -> CGState:
         d=-rho,
         anchor=x.copy(),
         anchor_sign=sign,
+        free=free,
+        shift=shift,
         rho_dot=float(rho @ rho),
     )
 
@@ -86,22 +96,13 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     alpha = s.rho_dot / dad
     x_new = s.x + alpha * s.d
     r_new = s.r + alpha * ad
-    rho_new = np.where(s.anchor == 0.0, 0.0, r_new)
+    rho_new = np.where(s.free, r_new, 0.0)
     rho_dot_new = float(r_new @ rho_new)
     beta = rho_dot_new / s.rho_dot
     d_new = -rho_new + beta * s.d
     crossed = bool(np.any(np.sign(x_new) != s.anchor_sign))
-    s_next = CGState(
-        x=x_new,
-        r=r_new,
-        rho=rho_new,
-        d=d_new,
-        anchor=s.anchor,
-        anchor_sign=s.anchor_sign,
-        rho_dot=rho_dot_new,
-        last_ad=ad,
-        last_alpha=alpha,
-    )
+    s_next = replace(s, x=x_new, r=r_new, rho=rho_new, d=d_new, rho_dot=rho_dot_new,
+                     last_ad=ad, last_alpha=alpha)
     return s_next, crossed
 
 
@@ -149,7 +150,7 @@ def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> 
     else:
         x = s.x.copy()
     r = s.r + alpha_b * ad
-    rho = np.where(s.anchor == 0.0, 0.0, r)
+    rho = np.where(s.free, r, 0.0)
     return replace(s, x=x, r=r, rho=rho, rho_dot=float(r @ rho), last_ad=ad, last_alpha=alpha_b)
 
 

@@ -15,11 +15,13 @@ exactly one product.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ql1.cg import (
+    NEG_CURV,
     CurvatureBreak,
     cg_step,
     cutback,
@@ -30,10 +32,13 @@ from ql1.cg import (
 from ql1.first_order import LineSearchMemory, bb_ls_step, ista_step, subspace_ista_step
 from ql1.problem import CountingOperator, QuadraticProblem
 from ql1.rng import Rng
-from ql1.subgrad import (
+# The five split helpers stay importable here for the benchmark's tracer.
+from ql1.subgrad import (  # noqa: F401
+    SubgradientSplit,
     gradient_balance,
     min_norm_subgrad,
     release_grad,
+    split_subgradient,
     support_grad,
     support_grad_map,
 )
@@ -60,9 +65,6 @@ STATUS_UNBOUNDED = "unbounded"
 
 _STALL_EPS = 1e-16
 _STALL_MV = 1000
-# A CG direction with d'Ad below -_NEG_CURV * L * d'd proves A indefinite;
-# the guard that merely ends a cycle sits at +1e-14 * L, inside roundoff.
-_NEG_CURV = 1e-8
 
 # Lanczos estimate of the largest eigenvalue: product cap, relative
 # Ritz-value change that stops it, and the beta (relative to the Ritz
@@ -243,55 +245,50 @@ class _Run:
     def mv(self) -> int:
         return self.problem.op.mv_count - self.mv_start
 
-    def begin(self, x0: np.ndarray, f0: float, g0: np.ndarray) -> None:
+    def begin(self, x0: np.ndarray, f0: float, split: SubgradientSplit) -> None:
+        """Takes the start point and its split, and applies the stop rules to it."""
         self.mv_setup = self.mv
         self.f0 = f0
-        v0 = min_norm_subgrad(x0, g0, self.problem.tau)
-        self.v0_norm = float(np.abs(v0).max()) if v0.size else 0.0
+        self.v0_norm = split.vnorm
         self.best_f = f0
         self.best_x = x0.copy()
         self.last_x = x0.copy()
         self._stall_f = f0
         self._stall_mv = self.mv
+        self.record(x0, f0, None, split)
 
-    def record(self, x: np.ndarray, f: float, step: str) -> None:
-        self.k += 1
-        self.records.append(
-            TraceRecord(mv=self.mv, k=self.k, f=f, nnz=int(np.count_nonzero(x)), step=step)
-        )
-        if self.xs is not None:
-            self.xs.append(x.copy())
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = x.copy()
-        self.last_x = x
-
-    def converged(self, x: np.ndarray, g: np.ndarray, f: float) -> bool:
+    def converged(self, f: float, split: SubgradientSplit) -> bool:
         cfg = self.cfg
         if cfg.termination == "fstar":
             return accuracy(f, cfg.f_star) <= cfg.tol
-        v = min_norm_subgrad(x, g, self.problem.tau)
-        vnorm = float(np.abs(v).max()) if v.size else 0.0
-        return vnorm <= cfg.tol * max(1.0, self.v0_norm)
+        return split.vnorm <= cfg.tol * max(1.0, self.v0_norm)
 
-    def check_stop(self, x: np.ndarray, g: np.ndarray, f: float) -> bool:
-        """Updates status after a step; True means the solve is over."""
+    def record(self, x: np.ndarray, f: float, step: str | None, split: SubgradientSplit) -> bool:
+        """Records an accepted step (None: the start point, which gets no
+        record) and updates the status; True means the solve is over."""
+        if step is not None:
+            self.k += 1
+            self.records.append(
+                TraceRecord(mv=self.mv, k=self.k, f=f, nnz=int(np.count_nonzero(x)), step=step)
+            )
+            if self.xs is not None:
+                self.xs.append(x.copy())
+            if f < self.best_f:
+                self.best_f = f
+                self.best_x = x.copy()
+            self.last_x = x
         if not np.isfinite(f):
             self.status = STATUS_UNBOUNDED
-            return True
-        if self.converged(x, g, f):
+        elif self.converged(f, split):
             self.status = STATUS_CONVERGED
-            return True
-        if abs(f - self._stall_f) >= _STALL_EPS * max(1.0, abs(self._stall_f)):
+        elif abs(f - self._stall_f) >= _STALL_EPS * max(1.0, abs(self._stall_f)):
             self._stall_f = f
             self._stall_mv = self.mv
         elif self.mv - self._stall_mv >= _STALL_MV:
             self.status = STATUS_STALLED
-            return True
-        if self.mv >= self.cfg.mv_budget:
+        if self.status is None and self.mv >= self.cfg.mv_budget:
             self.status = STATUS_BUDGET
-            return True
-        return False
+        return self.status is not None
 
     def finish(self) -> RunTrace:
         if self.status == STATUS_CONVERGED:
@@ -311,27 +308,21 @@ class _Run:
         )
 
 
-def _start_point(problem: QuadraticProblem, run: _Run, x0) -> tuple[np.ndarray, np.ndarray, float]:
-    """Initial iterate with its gradient and objective.
+def _setup(problem: QuadraticProblem, cfg: SolverConfig, x0):
+    """A run with its L estimate, and the start point with its gradient and F.
 
     The default start x0 = 0 has F(0) = 0 and g(0) = -b with no operator
     application; an explicit warm start pays one product.
     """
-    if x0 is None:
-        x = np.zeros(problem.n)
-        return x, -problem.b.copy(), 0.0
-    x = np.asarray(x0, dtype=np.float64).copy()
-    ax = problem.op.apply(x)
-    return x, ax - problem.b, problem.objective(x, ax=ax)
-
-
-def _setup(problem: QuadraticProblem, cfg: SolverConfig, x0):
     run = _Run(problem, cfg)
-    x, g, f = _start_point(problem, run, x0)
-    l_est = cfg.l_value if cfg.l_value is not None else estimate_max_eig(problem.op)
-    run.l_est = l_est
-    run.begin(x, f, g)
-    return run, x, g, f, l_est
+    if x0 is None:
+        x, g, f = np.zeros(problem.n), -problem.b.copy(), 0.0
+    else:
+        x = np.asarray(x0, dtype=np.float64).copy()
+        ax = problem.op.apply(x)
+        g, f = ax - problem.b, problem.objective(x, ax=ax)
+    run.l_est = cfg.l_value if cfg.l_value is not None else estimate_max_eig(problem.op)
+    return run, x, g, f, run.l_est
 
 
 def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
@@ -342,8 +333,10 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
     alpha_bal = 1.0 / (cfg.bal_factor * l_est)
     curv_tol = 1e-14 * l_est
     rho_tol = 1e-14 * (1.0 + float(np.linalg.norm(b)))
-    if run.check_stop(x, g, f):
-        return run.finish()
+    # sp, the split at the accepted iterate (x, g), serves the stop test,
+    # iiCG-2's choice of mode and the CG cycle's tests
+    sp = split_subgradient(x, g, tau, alpha_bal)
+    run.begin(x, f, sp)
 
     mem = LineSearchMemory()
     mem.seed(f)
@@ -360,20 +353,18 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
         # First-order phase. iiCG-2 refines the current support when
         # the balance condition holds and releases variables otherwise;
         # the others always take the full step.
-        if cfg.algorithm == "iicg2":
-            rel = release_grad(x, g, tau)
-            smap = support_grad_map(x, g, tau, alpha_bal)
-            mode = "subspace" if gradient_balance(rel, smap) else "full"
-        else:
-            mode = "full"
+        mode = "subspace" if cfg.algorithm == "iicg2" and sp.balanced else "full"
+        step_name = STEP_SUBISTA if mode == "subspace" else STEP_ISTA
         if use_bb:
-            res = bb_ls_step(problem, x, g, x_prev, g_prev, mode, mem, alpha_const, mv_left)
+            try:
+                res = bb_ls_step(problem, x, g, x_prev, g_prev, mode, mem, alpha_const, mv_left)
+            except CurvatureBreak:
+                run.status = STATUS_UNBOUNDED
+                break
             x_prev, g_prev = x, g
             x, g, f = res.x, res.g, res.f
             if res.fallback:
                 step_name = STEP_LSFALLBACK
-            else:
-                step_name = STEP_SUBISTA if mode == "subspace" else STEP_ISTA
         else:
             stepper = subspace_ista_step if mode == "subspace" else ista_step
             x_new = stepper(x, g, tau, alpha_const)
@@ -382,46 +373,32 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
             f = problem.objective(x_new, ax=ax_new)
             g = ax_new - b
             x = x_new
-            step_name = STEP_SUBISTA if mode == "subspace" else STEP_ISTA
-        run.record(x, f, step_name)
-        if run.check_stop(x, g, f):
-            break
-        if cfg.algorithm == "istabb":
+        sp = split_subgradient(x, g, tau, alpha_bal)
+        if run.record(x, f, step_name, sp) or cfg.algorithm == "istabb":
             continue
 
-        # Subspace CG cycle anchored at the fresh first-order point.
+        # Subspace CG cycle anchored at the fresh first-order point. The
+        # cycle's gradient r - tau*sign(x) can differ from g in the last
+        # bit, so the anchor gets a split of its own.
         st = init_cg_cycle(x, g, tau)
-        while run.status is None:
-            g_cur = st.smooth_grad(b, tau)
-            rel = release_grad(st.x, g_cur, tau)
-            smap = support_grad_map(st.x, g_cur, tau, alpha_bal)
-            if not gradient_balance(rel, smap):
-                break
-            if float(np.linalg.norm(st.rho)) <= rho_tol:
-                break
-            v_pre = rel + support_grad(st.x, g_cur, tau)
-            f_pre = f
+        cur = split_subgradient(st.x, st.smooth_grad(), tau, alpha_bal)
+        while cur.balanced and math.sqrt(st.rho_dot) > rho_tol:
             try:
                 st_new, crossed = cg_step(st, op, curv_tol)
             except CurvatureBreak as brk:
-                if brk.curvature < -_NEG_CURV * l_est:
+                if brk.curvature < -NEG_CURV * l_est:
                     run.status = STATUS_UNBOUNDED
                 break
             f_new = st_new.objective(b, tau)
-            if crossed and not sufficient_decrease(f_new, f_pre, v_pre, cfg.c):
-                st = cutback(st, st_new.last_ad, cutback_alpha(st.x, st.anchor, st.d))
-                x_prev, g_prev = x, g
-                x, g, f = st.x, st.smooth_grad(b, tau), st.objective(b, tau)
-                run.record(x, f, STEP_CUTBACK)
-                run.check_stop(x, g, f)
-                break
             x_prev, g_prev = x, g
-            st = st_new
-            x = st.x
-            g = st.smooth_grad(b, tau)
-            f = f_new
-            run.record(x, f, STEP_CG)
-            if run.check_stop(x, g, f):
+            if crossed and not sufficient_decrease(f_new, f, cur.min_norm, cfg.c):
+                st = cutback(st, st_new.last_ad, cutback_alpha(st.x, st.anchor, st.d))
+                f_new, step_name = st.objective(b, tau), STEP_CUTBACK
+            else:
+                st, step_name = st_new, STEP_CG
+            x, g, f = st.x, st.smooth_grad(), f_new
+            sp = cur = split_subgradient(x, g, tau, alpha_bal)
+            if run.record(x, f, step_name, sp) or step_name == STEP_CUTBACK:
                 break
 
     return run.finish()
@@ -431,8 +408,7 @@ def _solve_fista(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTr
     op, b, tau = problem.op, problem.b, problem.tau
     run, x, g, f, l_est = _setup(problem, cfg, x0)
     alpha = 1.0 / l_est
-    if run.check_stop(x, g, f):
-        return run.finish()
+    run.begin(x, f, split_subgradient(x, g, tau, alpha))
 
     # A y is carried through the momentum recurrence, so each iteration
     # costs the single product A x_new.
@@ -450,10 +426,7 @@ def _solve_fista(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTr
         y = x_new + theta * (x_new - x)
         y_ax = (1.0 + theta) * ax_new - theta * ax
         x, ax, t = x_new, ax_new, t_new
-        g_x = ax - b
-        run.record(x, f_new, STEP_ISTA)
-        if run.check_stop(x, g_x, f_new):
-            break
+        run.record(x, f_new, STEP_ISTA, split_subgradient(x, ax - b, tau, alpha))
     return run.finish()
 
 

@@ -13,15 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ql1.cg import NEG_CURV, CurvatureBreak
 from ql1.problem import QuadraticProblem
-from ql1.subgrad import release_grad, soft_threshold, support_grad_map
+from ql1.subgrad import soft_threshold
 
 
 def ista_step(x, g, tau: float, alpha: float) -> np.ndarray:
     """Proximal gradient step: soft_threshold(x - alpha*g, alpha*tau).
 
-    Identically equal to x - alpha*(release_grad + support_grad_map),
-    i.e. the minimizer of the separable quadratic-plus-l1 model at x.
+    Equals x - alpha*(release + support_map) of ``split_subgradient``: the
+    minimizer of the separable quadratic-plus-l1 model at x.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -77,18 +78,24 @@ class BBStepResult:
 def bb_stepsize(x, x_prev, g, g_prev, fallback_alpha: float) -> float:
     """(s's) / (s'As) with s = x - x_prev and As = g - g_prev (zero products).
 
-    Returns ``fallback_alpha`` on the first iteration (no previous pair)
-    or when the curvature term is nonpositive, which for PSD A can only
-    happen through roundoff.
+    Returns ``fallback_alpha`` (= 1/L) on the first iteration (no previous
+    pair) or when the curvature term is nonpositive through roundoff.
+    Raises :class:`CurvatureBreak` when it is below both -NEG_CURV * L * s's
+    and its rounding error, 1e-12 * ||s|| * (L||x|| + ||g||): near
+    convergence s can be a rounding step of x, with curvature noise.
     """
     if x_prev is None or g_prev is None:
         return fallback_alpha
     s = x - x_prev
     curv = float(s @ (g - g_prev))
-    if curv <= 0.0:
-        return fallback_alpha
     ss = float(s @ s)
     if ss == 0.0:
+        return fallback_alpha
+    if curv < -NEG_CURV * ss / fallback_alpha:
+        noise = 1e-12 * np.sqrt(ss) * (np.linalg.norm(x) / fallback_alpha + np.linalg.norm(g))
+        if curv < -noise:
+            raise CurvatureBreak(curv / ss)
+    if curv <= 0.0:
         return fallback_alpha
     return ss / curv
 
@@ -117,7 +124,8 @@ def bb_ls_step(
     test. If ``max_halvings`` trials all fail, the step falls back to
     ``fallback_alpha`` and is accepted unconditionally (flagged).
     ``mv_left`` (at least 1) caps the number of trials: when it is used
-    up, the last trial is returned although the test rejected it.
+    up, the last trial is returned although the test rejected it. A
+    :class:`CurvatureBreak` from :func:`bb_stepsize` comes before any trial.
     """
     if mode not in ("full", "subspace"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -159,10 +167,3 @@ def bb_ls_step(
         fallback=fallback,
         trials=trials,
     )
-
-
-def full_step_parts(x, g, tau: float, alpha: float) -> np.ndarray:
-    """The ISTA step written as x - alpha*(release + support displacement)."""
-    rel = release_grad(x, g, tau)
-    sup = support_grad_map(x, g, tau, alpha)
-    return x - alpha * rel - alpha * sup

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ql1.fileio import ManifestRow, read_problem, write_manifest, write_problem
+# read_problem stays importable here, where the benchmark's tracer wraps it.
+from ql1.fileio import ManifestRow, read_problem, write_manifest, write_problem  # noqa: F401
 from ql1.problem import DenseOperator, FactoredOperator, QuadraticProblem
 from ql1.rng import Rng
 
@@ -280,7 +281,3 @@ def desk_suite(outdir) -> list[ManifestRow]:
 
 def is_spd_row(row: ManifestRow) -> bool:
     return row.param("spd") == "1"
-
-
-def load_problem(row: ManifestRow) -> QuadraticProblem:
-    return read_problem(row.path)

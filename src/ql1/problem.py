@@ -25,6 +25,11 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
+def objective_from_ax(x: np.ndarray, ax: np.ndarray, b: np.ndarray, tau: float) -> float:
+    """F(x) = 1/2 x'(Ax) - b'x + tau*||x||_1 with A x supplied."""
+    return 0.5 * float(x @ ax) - float(b @ x) + tau * float(np.abs(x).sum())
+
+
 class CountingOperator:
     """Matrix-free application of a symmetric PSD operator A.
 
@@ -145,7 +150,7 @@ class QuadraticProblem:
         x = _as_vector(x, self.n, "x")
         if ax is None:
             ax = self.op.apply(x)
-        return 0.5 * float(x @ ax) - float(self.b @ x) + self.tau * float(np.abs(x).sum())
+        return objective_from_ax(x, ax, self.b, self.tau)
 
     def gradient(self, x, ax: np.ndarray | None = None) -> np.ndarray:
         """Smooth-part gradient Ax - b. One matrix-vector product unless ``ax`` is supplied."""

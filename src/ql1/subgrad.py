@@ -15,7 +15,7 @@ IEEE sign of a zero never changes any output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,34 +83,55 @@ def gradient_balance(release: np.ndarray, support_map: np.ndarray) -> bool:
     return float(release @ release) <= float(support_map @ support_map)
 
 
-@dataclass
 class SubgradientSplit:
-    """The decomposition at one point, bundled for solver bookkeeping.
+    """The decomposition at one point, each part computed on first use.
 
-    ``release`` and ``support_map`` have disjoint supports; ``min_norm``
-    equals ``release + support`` exactly.
+    The solvers' path: x and g are unchecked float64 vectors of one shape.
+    Each part equals the function of the same name bit for bit. The parts
+    on the zeros and on the support are disjoint, so ``min_norm`` is
+    ``release + support`` exactly and ``vnorm`` is its inf-norm.
     """
 
-    release: np.ndarray
-    support_map: np.ndarray
-    support: np.ndarray
-    min_norm: np.ndarray
-    alpha: float
+    def __init__(self, x: np.ndarray, g: np.ndarray, tau: float, alpha: float):
+        self.x, self.g, self.tau, self.alpha = x, g, tau, alpha
 
-    @property
+    @cached_property
+    def zero(self) -> np.ndarray:
+        return self.x == 0.0
+
+    @cached_property
+    def release(self) -> np.ndarray:
+        out = soft_threshold(self.g, self.tau)
+        out[~self.zero] = 0.0
+        return out
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        out = self.g + self.tau * np.sign(self.x)
+        out[self.zero] = 0.0
+        return out
+
+    @cached_property
+    def support_map(self) -> np.ndarray:
+        alpha = self.alpha
+        out = (self.x - soft_threshold(self.x - alpha * self.g, alpha * self.tau)) / alpha
+        out[self.zero] = 0.0
+        return out
+
+    @cached_property
+    def min_norm(self) -> np.ndarray:
+        return self.release + self.support
+
+    @cached_property
     def balanced(self) -> bool:
-        return gradient_balance(self.release, self.support_map)
+        return float(self.release @ self.release) <= float(self.support_map @ self.support_map)
+
+    @cached_property
+    def vnorm(self) -> float:
+        return float(np.maximum(np.abs(self.release).max(initial=0.0),
+                                np.abs(self.support).max(initial=0.0)))
 
 
 def split_subgradient(x, g, tau: float, alpha: float) -> SubgradientSplit:
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    release = release_grad(x, g, tau)
-    supp = support_grad(x, g, tau)
-    return SubgradientSplit(
-        release=release,
-        support_map=support_grad_map(x, g, tau, alpha),
-        support=supp,
-        min_norm=release + supp,
-        alpha=alpha,
-    )
+    """The split of the minimum-norm subgradient at x, with steplength alpha."""
+    return SubgradientSplit(x, g, tau, alpha)

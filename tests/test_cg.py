@@ -162,7 +162,10 @@ def _cut(x_k, anchor, d, ad):
     """Cutback of the step along d from x_k, in a cycle anchored at anchor, residual 0."""
     x_k, anchor, d, ad = (np.asarray(v, dtype=np.float64) for v in (x_k, anchor, d, ad))
     r = np.zeros_like(x_k)
-    s = CGState(x=x_k, r=r, rho=r, d=d, anchor=anchor, anchor_sign=np.sign(anchor), rho_dot=0.0)
+    s = CGState(
+        x=x_k, r=r, rho=r, d=d, anchor=anchor, anchor_sign=np.sign(anchor),
+        free=anchor != 0.0, shift=np.zeros_like(x_k), rho_dot=0.0,
+    )
     return cutback(s, ad, cutback_alpha(x_k, anchor, d))
 
 

@@ -261,8 +261,9 @@ def test_indefinite_operator_is_unbounded():
         tr = solve(p, SolverConfig(algorithm=algo, mv_budget=2000))
         assert tr.status == STATUS_UNBOUNDED, algo
         assert tr.mv_total < 2000
-        if algo.startswith("iicg"):
-            # the first CG direction already has negative curvature
+        if algo != "fista":
+            # iiCG's first CG direction, and the curvature of istabb's
+            # second BB step, already show that A is indefinite
             assert tr.mv_total - tr.mv_setup <= 3 and np.isfinite(tr.f_final)
 
 

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from ql1.cg import CurvatureBreak
 from ql1.first_order import (
     LineSearchMemory,
     bb_ls_step,
     bb_stepsize,
-    full_step_parts,
     ista_step,
     subspace_ista_step,
 )
 from ql1.problem import DenseOperator, QuadraticProblem
-from ql1.subgrad import gradient_balance, release_grad, support_grad_map
+from ql1.subgrad import gradient_balance, release_grad, split_subgradient, support_grad_map
 
 
 def diag_l1_solution(diag, b, tau):
@@ -46,7 +46,8 @@ def test_ista_step_equals_parts_formulation():
         tau = float(rng.uniform(0, 2))
         alpha = float(rng.uniform(0.05, 3))
         direct = ista_step(x, g, tau, alpha)
-        parts = full_step_parts(x, g, tau, alpha)
+        split = split_subgradient(x, g, tau, alpha)
+        parts = x - alpha * split.release - alpha * split.support_map
         assert np.abs(direct - parts).max() <= 1e-14 * max(1.0, np.abs(direct).max())
 
 
@@ -148,8 +149,18 @@ def test_bb_stepsize_fallbacks():
     assert bb_stepsize(x, None, g, None, 0.25) == 0.25
     # zero displacement
     assert bb_stepsize(x, x, g, g, 0.25) == 0.25
-    # nonpositive curvature
-    assert bb_stepsize(x, np.array([0.0]), g, np.array([1.5]), 0.25) == 0.25
+    # nonpositive curvature no lower than -1e-8 * L * s's (L = 4): roundoff
+    assert bb_stepsize(x, np.array([0.0]), g, np.array([0.5 + 1e-9]), 0.25) == 0.25
+    # far lower, but s is one rounding step of x, so the curvature is noise
+    x_prev = np.nextafter(x, 0.0)
+    assert bb_stepsize(x, x_prev, g, g + 1e-15, 0.25) == 0.25
+
+
+def test_bb_stepsize_negative_curvature_is_a_curvature_break():
+    x = np.array([1.0])
+    with pytest.raises(CurvatureBreak) as info:
+        bb_stepsize(x, np.array([0.0]), np.array([0.5]), np.array([1.5]), 0.25)
+    assert info.value.curvature == -1.0
 
 
 def test_bb_ls_step_accepts_exact_1d_minimizer_first_trial():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ql1.subgrad import (
     gradient_balance,
@@ -136,3 +139,32 @@ def test_shape_mismatch_raises():
         release_grad(np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         support_grad_map(np.zeros(3), np.zeros(3), 1.0, 0.0)
+
+
+@st.composite
+def _split_inputs(draw):
+    n = draw(st.integers(1, 12))
+    x = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))))
+    tau = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    # ties |g_i| = tau sit on the release threshold
+    g = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([tau, -tau]), st.floats(-10.0, 10.0))))
+    alpha = draw(st.floats(1e-6, 1e3))
+    return x, g, tau, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_inputs())
+def test_split_equals_the_reference_helpers_bit_for_bit(inputs):
+    x, g, tau, alpha = inputs
+    parts = split_subgradient(x, g, tau, alpha)
+    release = release_grad(x, g, tau)
+    support_map = support_grad_map(x, g, tau, alpha)
+    v = min_norm_subgrad(x, g, tau)
+    assert parts.release.tobytes() == release.tobytes()
+    assert parts.support.tobytes() == support_grad(x, g, tau).tobytes()
+    assert parts.support_map.tobytes() == support_map.tobytes()
+    assert parts.min_norm.tobytes() == v.tobytes()
+    assert parts.balanced == gradient_balance(release, support_map)
+    assert parts.vnorm == float(np.abs(v).max())
