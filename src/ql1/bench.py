@@ -1,10 +1,10 @@
 """Batch benchmark harness: suites, performance profiles, Pareto frontiers.
 
-Results use matrix-vector products as the primary work metric; the
-accuracy of an incumbent changes only when a step is accepted, so the
-first trace record whose accuracy meets the target gives the product
-count at which the target was reached. Failures (budget exhausted or
-stalled before the target) follow the dash convention in CSV output.
+Results use matrix-vector products as the primary work metric. Each
+suite solve stops at the first accepted step whose accuracy against f*
+meets the target, so a converged solve's product count is the work
+needed to reach it. Failures (budget exhausted or stalled before the
+target) follow the dash convention in CSV output.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ql1.drivers import (
-    RunTrace,
+    STATUS_CONVERGED,
     SolverConfig,
     TraceRecord,
     accuracy,
@@ -39,64 +39,50 @@ class BenchResult:
     status: str
 
 
-def mv_to_accuracy(trace: RunTrace, f_star: float, tol: float) -> int | None:
-    """First matrix-vector count at which the incumbent met the target."""
-    if accuracy(trace.f0, f_star) <= tol:
-        return trace.mv_setup
-    for rec in trace.records:
-        if accuracy(rec.f, f_star) <= tol:
-            return rec.mv
-    return None
-
-
 def run_suite(
     manifest: list[ManifestRow],
-    solvers: list[str],
-    tols: list[float],
-    mv_budget: int = 50000,
+    configs: list[SolverConfig],
     f_stars: dict[str, float] | None = None,
 ) -> list[BenchResult]:
-    """One BenchResult per (problem, solver, tol).
+    """One BenchResult per (problem, config), each config solved against the row's f*.
 
-    Reference objectives come from ``f_stars`` when given (keyed by
-    problem name), otherwise from a high-accuracy reference solve per
-    problem. A missing or unreadable problem file produces per-row error
-    entries and the suite continues.
+    The reference objective comes from ``f_stars`` when given (keyed by
+    problem name), otherwise from a high-accuracy reference solve with
+    the largest ``mv_budget`` among the configs. ``mv`` is the solve's
+    product count when it converged within its budget, and None
+    otherwise. A missing or unreadable problem file produces per-row
+    error entries and the suite continues.
     """
     results: list[BenchResult] = []
+    if not configs:
+        return results
+    ref_budget = max(cfg.mv_budget for cfg in configs)
     for row in manifest:
         try:
             problem = read_problem(row.path)
         except (OSError, ValueError) as exc:
-            for solver in solvers:
-                for tol in tols:
-                    results.append(
-                        BenchResult(row.problem, solver, tol, None, 0.0, math.inf, f"error: {exc}")
-                    )
+            error = f"error: {exc}"
+            results.extend(
+                BenchResult(row.problem, cfg.algorithm, cfg.tol, None, 0.0, math.inf, error)
+                for cfg in configs
+            )
             continue
         if f_stars is not None and row.problem in f_stars:
             f_star = f_stars[row.problem]
         else:
-            f_star = reference_objective(problem, mv_budget)
-        for solver in solvers:
-            for tol in tols:
-                cfg = SolverConfig(
-                    algorithm=solver,
-                    termination="fstar",
-                    f_star=f_star,
-                    tol=tol,
-                    mv_budget=mv_budget,
-                )
-                t0 = time.perf_counter()
-                trace = solve(problem, cfg)
-                seconds = time.perf_counter() - t0
-                mv = mv_to_accuracy(trace, f_star, tol)
-                if mv is not None and mv > mv_budget:
-                    mv = None  # the set-up alone used more than the budget
-                final_acc = accuracy(trace.f_best, f_star)
-                results.append(
-                    BenchResult(row.problem, solver, tol, mv, seconds, final_acc, trace.status)
-                )
+            f_star = reference_objective(problem, ref_budget)
+        for cfg in configs:
+            t0 = time.perf_counter()
+            trace = solve(problem, replace(cfg, f_star=f_star))
+            seconds = time.perf_counter() - t0
+            # the run stops at the first record within tol; a set-up that
+            # alone exceeds the budget still fails
+            reached = trace.status == STATUS_CONVERGED and trace.mv_total <= cfg.mv_budget
+            mv = trace.mv_total if reached else None
+            acc = accuracy(trace.f_best, f_star)
+            results.append(
+                BenchResult(row.problem, cfg.algorithm, cfg.tol, mv, seconds, acc, trace.status)
+            )
     return results
 
 
@@ -119,8 +105,6 @@ def dolan_more(results: list[BenchResult], metric: str = "mv") -> list[ProfilePo
     if metric not in ("mv", "time"):
         raise ValueError(f"unknown metric {metric!r}")
     solvers = sorted({r.solver for r in results})
-    if not solvers:
-        return []
     cells: dict[tuple[str, float], dict[str, float]] = {}
     for r in results:
         key = (r.problem, r.tol)
@@ -130,13 +114,11 @@ def dolan_more(results: list[BenchResult], metric: str = "mv") -> list[ProfilePo
         cells.setdefault(key, {})[r.solver] = value
 
     ratios: dict[str, list[float]] = {s: [] for s in solvers}
-    n_problems = 0
     for key, per_solver in cells.items():
         best = min(per_solver.get(s, math.inf) for s in solvers)
         if not math.isfinite(best):
             warnings.warn(f"all solvers failed on {key[0]} at tol={key[1]:g}; excluded")
             continue
-        n_problems += 1
         for s in solvers:
             value = per_solver.get(s, math.inf)
             if not math.isfinite(value):
@@ -145,12 +127,11 @@ def dolan_more(results: list[BenchResult], metric: str = "mv") -> list[ProfilePo
                 ratios[s].append(1.0 if value == 0.0 else math.inf)
             else:
                 ratios[s].append(value / best)
-    if n_problems == 0:
-        return []
 
+    # every included cell gives its best solver a finite ratio
     breakpoints = sorted({r for rs in ratios.values() for r in rs if math.isfinite(r)})
     if not breakpoints:
-        breakpoints = [1.0]
+        return []
     points: list[ProfilePoint] = []
     for s in solvers:
         arr = np.array(ratios[s])
@@ -160,55 +141,27 @@ def dolan_more(results: list[BenchResult], metric: str = "mv") -> list[ProfilePo
     return points
 
 
-def pareto_frontier(
-    records: list[TraceRecord] | RunTrace, f_star: float
-) -> list[tuple[float, int]]:
-    """Non-dominated (accuracy, nonzeros) pairs over a trace, accuracy ascending.
+def pareto_frontier(records: list[TraceRecord], f_star: float) -> list[tuple[float, int]]:
+    """Non-dominated (accuracy, nonzeros) pairs over trace records, accuracy ascending.
 
     A record dominates another when its accuracy and nonzero count are
     both no larger and at least one is strictly smaller.
     """
-    if isinstance(records, RunTrace):
-        records = records.records
-    pairs = [(accuracy(rec.f, f_star), rec.nnz) for rec in records]
-    if not pairs:
-        return []
-    pairs.sort()
+    pairs = sorted((accuracy(rec.f, f_star), rec.nnz) for rec in records)
+    # sorted by (accuracy, nnz), so an accuracy tie never has fewer nonzeros
     frontier: list[tuple[float, int]] = []
     best_nnz = None
-    last_acc = None
     for acc, nnz in pairs:
         if best_nnz is not None and nnz >= best_nnz:
             continue
-        if last_acc is not None and acc == last_acc:
-            continue
         frontier.append((acc, nnz))
         best_nnz = nnz
-        last_acc = acc
     return frontier
-
-
-def cg_phase_histogram(records: list[TraceRecord] | RunTrace) -> list[tuple[int, int]]:
-    """(phase index, step count) per run of consecutive CG/cutback records."""
-    if isinstance(records, RunTrace):
-        records = records.records
-    phases: list[tuple[int, int]] = []
-    count = 0
-    for rec in records:
-        if rec.step in ("CG", "CUTBACK"):
-            count += 1
-        elif count:
-            phases.append((len(phases) + 1, count))
-            count = 0
-    if count:
-        phases.append((len(phases) + 1, count))
-    return phases
 
 
 @dataclass
 class SweepDetail:
     table: list[tuple[float, float]]               # (factor, mean inflation)
-    mv: dict[float, dict[str, float]]              # factor -> problem -> products used
     statuses: dict[float, dict[str, str]]          # factor -> problem -> status
 
 
@@ -224,39 +177,32 @@ def alpha_sweep_detail(
     For each factor the balance test uses 1/(factor * L_est); the
     reported number is the mean over problems of the ratio of products
     used at that factor to products used at factor 1 (failures enter as
-    the full budget).
+    the full budget). A problem file that cannot be read raises
+    ValueError.
     """
     if any(f < 1.0 for f in factors):
         raise ValueError("factors must be at least 1")
     if 1.0 not in factors:
         raise ValueError("factor 1 must be included as the baseline")
+    configs = [
+        SolverConfig(algorithm="iicg2", tol=tol, mv_budget=mv_budget, bal_factor=factor)
+        for factor in factors
+    ]
+    results = run_suite(manifest, configs, f_stars)
     mv_tables: dict[float, dict[str, float]] = {f: {} for f in factors}
     status_tables: dict[float, dict[str, str]] = {f: {} for f in factors}
-    for row in manifest:
-        problem = read_problem(row.path)
-        if f_stars is not None and row.problem in f_stars:
-            f_star = f_stars[row.problem]
-        else:
-            f_star = reference_objective(problem, mv_budget)
-        for factor in factors:
-            cfg = SolverConfig(
-                algorithm="iicg2",
-                termination="fstar",
-                f_star=f_star,
-                tol=tol,
-                mv_budget=mv_budget,
-                bal_factor=factor,
-            )
-            trace = solve(problem, cfg)
-            mv = mv_to_accuracy(trace, f_star, tol)
-            mv_tables[factor][row.problem] = float(mv) if mv is not None else float(mv_budget)
-            status_tables[factor][row.problem] = trace.status
+    for i, r in enumerate(results):
+        if r.status.startswith("error"):
+            raise ValueError(f"cannot read {r.problem}: {r.status.removeprefix('error: ')}")
+        factor = factors[i % len(factors)]  # each problem gets one row per config in turn
+        mv_tables[factor][r.problem] = float(r.mv) if r.mv is not None else float(mv_budget)
+        status_tables[factor][r.problem] = r.status
     base = mv_tables[1.0]
     table: list[tuple[float, float]] = []
     for factor in factors:
         infl = [mv_tables[factor][p] / max(base[p], 1.0) for p in base]
         table.append((factor, float(np.mean(infl)) if infl else math.nan))
-    return SweepDetail(table=table, mv=mv_tables, statuses=status_tables)
+    return SweepDetail(table=table, statuses=status_tables)
 
 
 def write_bench_csv(path, results: list[BenchResult]) -> None:

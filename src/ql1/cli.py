@@ -61,9 +61,8 @@ def _add_solve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("problem", help="input .ql1p file")
     p.add_argument("--algorithm", default="iicg2", choices=list(drivers.ALGORITHMS))
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--termination", default="vnorm", choices=["vnorm", "fstar"])
     p.add_argument("--fstar", type=float, default=None,
-                   help="reference objective (required for fstar termination)")
+                   help="reference objective; stop once the accuracy against it is at most tol")
     p.add_argument("--budget", type=int, default=50000)
     p.add_argument("--alpha-policy", default=None, choices=["bb", "constant"])
     p.add_argument("--trace-out", default=None, help="write the run trace CSV here")
@@ -71,13 +70,9 @@ def _add_solve(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = read_problem(args.problem)
-    if args.termination == "fstar" and args.fstar is None:
-        print("error: --fstar is required with fstar termination", file=sys.stderr)
-        return 2
     cfg = drivers.SolverConfig(
         algorithm=args.algorithm,
         tol=args.tol,
-        termination=args.termination,
         f_star=args.fstar,
         mv_budget=args.budget,
         alpha_policy=args.alpha_policy,
@@ -123,7 +118,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"error: unknown solver {s!r}", file=sys.stderr)
             return 2
     tols = [float(t) for t in args.tols.split(",") if t.strip()]
-    results = bench_mod.run_suite(manifest, solvers, tols, args.budget)
+    configs = [
+        drivers.SolverConfig(algorithm=s, tol=t, mv_budget=args.budget)
+        for s in solvers
+        for t in tols
+    ]
+    results = bench_mod.run_suite(manifest, configs)
     bench_mod.write_bench_csv(args.out, results)
     errors = sum(1 for r in results if r.status.startswith("error"))
     print(f"wrote {len(results)} results to {args.out} ({errors} errors)")

@@ -30,6 +30,7 @@ from ql1.cg import (
     sufficient_decrease,
 )
 from ql1.first_order import LineSearchMemory, bb_ls_step, ista_step, subspace_ista_step
+from ql1.first_order import step_curvature
 from ql1.problem import CountingOperator, QuadraticProblem
 from ql1.rng import Rng
 # The five split helpers stay importable here for the benchmark's tracer.
@@ -78,10 +79,9 @@ _EIG_INVARIANT = 1e-14
 class SolverConfig:
     """Solver selection and tolerances.
 
-    ``termination`` is "vnorm" (stop when the inf-norm of the
-    minimum-norm subgradient falls below tol * max(1, its value at x0))
-    or "fstar" (stop when the accuracy ratio against ``f_star`` is at
-    most tol; ``f_star`` must then be supplied). ``alpha_policy`` picks
+    A set ``f_star`` stops the solve when the accuracy ratio against it
+    is at most tol; None stops it when the inf-norm of the minimum-norm
+    subgradient falls below tol * max(1, its value at x0). ``alpha_policy`` picks
     the first-order steplength: "bb" (BB nonmonotone line search) or
     "constant" (1/L). ``iicg1`` and ``iicg2`` accept both and default to
     "bb"; ``fista`` accepts only "constant" and ``istabb`` only "bb".
@@ -95,7 +95,6 @@ class SolverConfig:
 
     algorithm: str = "iicg2"
     tol: float = 1e-6
-    termination: str = "vnorm"
     f_star: float | None = None
     c: float = 1e-4
     alpha_policy: str | None = None
@@ -113,10 +112,6 @@ class SolverConfig:
                 f"{self.algorithm} does not run alpha_policy {self.alpha_policy!r}; "
                 f"choose from {', '.join(allowed)}"
             )
-        if self.termination not in ("vnorm", "fstar"):
-            raise ValueError(f"unknown termination {self.termination!r}")
-        if self.termination == "fstar" and self.f_star is None:
-            raise ValueError("fstar termination requires f_star")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.mv_budget < 1:
@@ -146,16 +141,8 @@ class RunTrace:
     f0: float
     v0_norm: float
     l_est: float
+    mv_total: int       # products the solve charged, unrecorded ones included
     xs: list[np.ndarray] | None = None
-    mv_count: int | None = None
-
-    @property
-    def mv_total(self) -> int:
-        """Products the solve charged: ``mv_count`` when the driver set it,
-        else the last record's (a run can end on an unrecorded product)."""
-        if self.mv_count is not None:
-            return self.mv_count
-        return self.records[-1].mv if self.records else self.mv_setup
 
     @property
     def f_final(self) -> float:
@@ -171,7 +158,7 @@ def accuracy(f_k: float, f_star: float) -> float:
     return (f_k - f_star) / max(abs(f_star), 1e-12)
 
 
-def estimate_max_eig(op: CountingOperator, seed: int = 0) -> float:
+def estimate_max_eig(op: CountingOperator) -> float:
     """Largest-eigenvalue estimate by Lanczos, times a 1.01 safety factor.
 
     Runs the three-term recurrence beta_j v_{j+1} = A v_j - alpha_j v_j
@@ -189,13 +176,8 @@ def estimate_max_eig(op: CountingOperator, seed: int = 0) -> float:
     """
     if op.n < 1:
         raise ValueError("operator dimension must be at least 1")
-    rng = Rng(seed)
-    v = rng.normals(op.n)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        v = np.ones(op.n)
-        norm = float(np.linalg.norm(v))
-    v /= norm
+    v = Rng(0).normals(op.n)  # nonzero: its first entry is -0.45
+    v /= float(np.linalg.norm(v))
     v_prev = None
     tri = np.zeros((_EIG_MAX_PRODUCTS + 1, _EIG_MAX_PRODUCTS + 1))
     ritz = 0.0
@@ -259,7 +241,7 @@ class _Run:
 
     def converged(self, f: float, split: SubgradientSplit) -> bool:
         cfg = self.cfg
-        if cfg.termination == "fstar":
+        if cfg.f_star is not None:
             return accuracy(f, cfg.f_star) <= cfg.tol
         return split.vnorm <= cfg.tol * max(1.0, self.v0_norm)
 
@@ -303,8 +285,8 @@ class _Run:
             f0=self.f0,
             v0_norm=self.v0_norm,
             l_est=self.l_est,
+            mv_total=self.mv,
             xs=self.xs,
-            mv_count=self.mv,
         )
 
 
@@ -411,7 +393,8 @@ def _solve_fista(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTr
     run.begin(x, f, split_subgradient(x, g, tau, alpha))
 
     # A y is carried through the momentum recurrence, so each iteration
-    # costs the single product A x_new.
+    # costs the single product A x_new, which also gives the curvature
+    # of the step s = x_new - x.
     ax = g + b
     y = x.copy()
     y_ax = ax.copy()
@@ -421,12 +404,19 @@ def _solve_fista(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTr
         x_new = ista_step(y, g_y, tau, alpha)
         ax_new = op.apply(x_new)
         f_new = problem.objective(x_new, ax=ax_new)
+        s = x_new - x
+        g = ax_new - b
+        try:
+            step_curvature(s, ax_new - ax, x_new, g, alpha)
+        except CurvatureBreak:
+            run.status = STATUS_UNBOUNDED
+            break
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         theta = (t - 1.0) / t_new
-        y = x_new + theta * (x_new - x)
+        y = x_new + theta * s
         y_ax = (1.0 + theta) * ax_new - theta * ax
         x, ax, t = x_new, ax_new, t_new
-        run.record(x, f_new, STEP_ISTA, split_subgradient(x, ax - b, tau, alpha))
+        run.record(x, f_new, STEP_ISTA, split_subgradient(x, g, tau, alpha))
     return run.finish()
 
 
@@ -443,14 +433,8 @@ def reference_objective(problem: QuadraticProblem, mv_budget: int = 50000) -> fl
     Runs iiCG-2 with subgradient-norm termination at tol 1e-13 and four
     times the given budget, and returns the best objective seen.
     """
-    cfg = SolverConfig(
-        algorithm="iicg2",
-        termination="vnorm",
-        tol=1e-13,
-        mv_budget=4 * mv_budget,
-    )
-    trace = solve(problem, cfg)
-    return trace.f_best
+    cfg = SolverConfig(algorithm="iicg2", tol=1e-13, mv_budget=4 * mv_budget)
+    return solve(problem, cfg).f_best
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:

@@ -17,6 +17,7 @@ Writing then reading reproduces every field bit-exactly.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -92,7 +93,19 @@ class _Reader:
         return self.take(1, what)[0]
 
     def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
+        value = struct.unpack("<d", self.take(8, what))[0]
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ProblemFormatError(
+                f"{what} must be finite and nonnegative, got {value}", self.pos - 8
+            )
+        return value
+
+    def build(self, start: int, make, *args):
+        """``make(*args)``, with its ValueError raised at the offset ``start``."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ProblemFormatError(str(exc), start) from None
 
     def f64_array(self, count: int, what: str) -> np.ndarray:
         self._advance(8 * count, what)
@@ -117,23 +130,27 @@ def _parse(rd: _Reader) -> QuadraticProblem:
         raise ProblemFormatError(f"unsupported version {version}", 4)
     kind = rd.u8("kind")
     n = rd.u64("n")
+    # the constructors' one pass over each array rejects non-finite values
     if kind == _KIND_DENSE:
+        at = rd.pos
         a = rd.f64_array(n * n, "dense matrix").reshape(n, n)
-        op = DenseOperator(a)
+        op = rd.build(at, DenseOperator, a)
     elif kind == _KIND_FACTORED:
         m = rd.u64("m")
+        at = rd.pos
         b_mat = rd.f64_array(m * n, "factor matrix").reshape(m, n)
         gamma = rd.f64("gamma")
-        op = FactoredOperator(b_mat, gamma)
+        op = rd.build(at, FactoredOperator, b_mat, gamma)
     else:
         raise ProblemFormatError(f"unknown operator kind {kind}", 8)
+    at = rd.pos
     b = rd.f64_array(n, "b vector")
     tau = rd.f64("tau")
     if rd.pos != rd.size:
         raise ProblemFormatError(
             f"trailing data: file has {rd.size} bytes, format ends at {rd.pos}", rd.pos
         )
-    return QuadraticProblem(op, b, tau)
+    return rd.build(at, QuadraticProblem, op, b, tau)
 
 
 @dataclass

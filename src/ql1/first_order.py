@@ -75,27 +75,32 @@ class BBStepResult:
     trials: int
 
 
+def step_curvature(s, dg, x, g, alpha: float) -> tuple[float, float]:
+    """(s'dg, s's) for a step s to x (gradient g) with dg = As (zero products).
+
+    Raises :class:`CurvatureBreak` when s'dg is below both -NEG_CURV*L*s's
+    (L = 1/alpha) and its rounding error 1e-12*||s||*(L||x|| + ||g||):
+    near convergence s can be a rounding step of x, with curvature noise.
+    """
+    curv = float(s @ dg)
+    ss = float(s @ s)
+    if ss > 0.0 and curv < -NEG_CURV * ss / alpha:
+        noise = 1e-12 * np.sqrt(ss) * (np.linalg.norm(x) / alpha + np.linalg.norm(g))
+        if curv < -noise:
+            raise CurvatureBreak(curv / ss)
+    return curv, ss
+
+
 def bb_stepsize(x, x_prev, g, g_prev, fallback_alpha: float) -> float:
     """(s's) / (s'As) with s = x - x_prev and As = g - g_prev (zero products).
 
     Returns ``fallback_alpha`` (= 1/L) on the first iteration (no previous
-    pair) or when the curvature term is nonpositive through roundoff.
-    Raises :class:`CurvatureBreak` when it is below both -NEG_CURV * L * s's
-    and its rounding error, 1e-12 * ||s|| * (L||x|| + ||g||): near
-    convergence s can be a rounding step of x, with curvature noise.
+    pair) or on a nonpositive curvature that :func:`step_curvature` lets pass.
     """
     if x_prev is None or g_prev is None:
         return fallback_alpha
-    s = x - x_prev
-    curv = float(s @ (g - g_prev))
-    ss = float(s @ s)
-    if ss == 0.0:
-        return fallback_alpha
-    if curv < -NEG_CURV * ss / fallback_alpha:
-        noise = 1e-12 * np.sqrt(ss) * (np.linalg.norm(x) / fallback_alpha + np.linalg.norm(g))
-        if curv < -noise:
-            raise CurvatureBreak(curv / ss)
-    if curv <= 0.0:
+    curv, ss = step_curvature(x - x_prev, g - g_prev, x, g, fallback_alpha)
+    if ss == 0.0 or curv <= 0.0:
         return fallback_alpha
     return ss / curv
 

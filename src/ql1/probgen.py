@@ -151,8 +151,8 @@ def gen_strict_comp(
     Stream order: (1) n uniforms for a log-uniform spectrum on
     [1/cond_target, 1]; (2) n*n normals (row-major) whose QR
     factorization supplies the eigenbasis; (3) the solution support -
-    nnz rejection-sampled positions, each followed by a sign uniform
-    (< 0.5 means +1) and a magnitude 0.5 + uniform(); (4) one uniform in
+    nnz rejection-sampled positions, then per position in draw order a sign
+    uniform (< 0.5 means +1) and a magnitude 0.5 + uniform(); (4) one uniform in
     [-(1-margin), 1-margin] per off-support coordinate, ascending index
     order. The right-hand side b = A x* + tau*u makes x* the exact
     minimizer, with |g_i(x*)| <= (1-margin)*tau strictly inside the
@@ -172,9 +172,13 @@ def gen_strict_comp(
     spectrum = np.exp(log_lo + rng.uniforms(n) * (-log_lo))
     basis_raw = rng.normals(n * n).reshape(n, n)
     q, r = np.linalg.qr(basis_raw)
-    q = q * np.sign(np.diag(r))  # fix QR sign ambiguity
+    # in place from here on: QR is the peak, at about four matrices
+    del basis_raw
+    q *= np.sign(np.diag(r))  # fix QR sign ambiguity
+    del r
     a = (q * spectrum) @ q.T
-    a = 0.5 * (a + a.T)
+    a += a.T
+    a *= 0.5
 
     x_star = np.zeros(n)
     positions = _draw_positions(rng, n, nnz)

@@ -210,9 +210,8 @@ def test_criterion_5_finite_identification():
 def test_criterion_6_suite_cross_agreement(desk_manifest, desk_fstars):
     failures = []
     tol = 1e-4
-    results = run_suite(
-        desk_manifest, ["iicg1", "iicg2", "fista", "istabb"], [tol], f_stars=desk_fstars
-    )
+    configs = [SolverConfig(algorithm=s, tol=tol) for s in ("iicg1", "iicg2", "fista", "istabb")]
+    results = run_suite(desk_manifest, configs, f_stars=desk_fstars)
     by_problem: dict[str, list[BenchResult]] = {}
     for r in results:
         by_problem.setdefault(r.problem, []).append(r)
@@ -226,7 +225,8 @@ def test_criterion_6_suite_cross_agreement(desk_manifest, desk_fstars):
                 failures.append((problem, "objective disagreement", spread))
 
     spd_rows = [row for row in desk_manifest if is_spd_row(row)]
-    high = run_suite(spd_rows, ["iicg1", "iicg2"], [1e-10], f_stars=desk_fstars)
+    configs = [SolverConfig(algorithm=s, tol=1e-10) for s in ("iicg1", "iicg2")]
+    high = run_suite(spd_rows, configs, f_stars=desk_fstars)
     for r in high:
         if r.mv is None or r.mv > 50000:
             failures.append((r.problem, r.solver, "high-accuracy failure", r.status))

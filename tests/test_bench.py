@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import ql1.bench
 from ql1.bench import (
     BenchResult,
     alpha_sweep_detail,
-    cg_phase_histogram,
     dolan_more,
-    mv_to_accuracy,
     pareto_frontier,
     read_bench_csv,
     run_suite,
     write_bench_csv,
 )
-from ql1.drivers import TraceRecord
-from ql1.fileio import ManifestRow, write_problem
+from ql1.drivers import SolverConfig, TraceRecord, accuracy, reference_objective, solve
+from ql1.fileio import ManifestRow, read_problem, write_problem
 from ql1.probgen import gen_strict_comp
 from ql1.problem import DenseOperator, QuadraticProblem
 
@@ -131,21 +130,6 @@ def test_pareto_strictly_monotone():
             assert not (better_acc and pn < fn and (pa < fa or pn < fn))
 
 
-def _step_records(steps):
-    return [TraceRecord(mv=i + 1, k=i + 1, f=0.0, nnz=0, step=s) for i, s in enumerate(steps)]
-
-
-def test_cg_phase_histogram_examples():
-    assert cg_phase_histogram(_step_records(["ISTA", "CG", "CG", "ISTA", "CG"])) == [(1, 2), (2, 1)]
-    assert cg_phase_histogram(_step_records(["ISTA", "ISTA"])) == []
-    assert cg_phase_histogram(_step_records(["CG", "CG"])) == [(1, 2)]
-
-
-def test_cg_phase_histogram_counts_cutbacks():
-    steps = ["ISTA", "CG", "CUTBACK", "SUBISTA", "CG"]
-    assert cg_phase_histogram(_step_records(steps)) == [(1, 2), (2, 1)]
-
-
 def _tiny_manifest(tmp_path):
     rows = []
     p1 = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 1.0)
@@ -159,9 +143,13 @@ def _tiny_manifest(tmp_path):
     return rows
 
 
+def _configs(solvers, tols, mv_budget):
+    return [SolverConfig(algorithm=s, tol=t, mv_budget=mv_budget) for s in solvers for t in tols]
+
+
 def test_run_suite_basic(tmp_path):
     manifest = _tiny_manifest(tmp_path)
-    results = run_suite(manifest, ["iicg1", "iicg2"], [1e-4, 1e-10], mv_budget=5000)
+    results = run_suite(manifest, _configs(["iicg1", "iicg2"], [1e-4, 1e-10], 5000))
     assert len(results) == 2 * 2 * 2
     for r in results:
         assert r.status == "converged"
@@ -178,18 +166,15 @@ def test_run_suite_basic(tmp_path):
 
 def test_run_suite_deterministic_mv(tmp_path):
     manifest = _tiny_manifest(tmp_path)
-    a = run_suite(manifest, ["iicg2"], [1e-6], mv_budget=5000)
-    b = run_suite(manifest, ["iicg2"], [1e-6], mv_budget=5000)
+    a = run_suite(manifest, _configs(["iicg2"], [1e-6], 5000))
+    b = run_suite(manifest, _configs(["iicg2"], [1e-6], 5000))
     assert [(r.problem, r.mv) for r in a] == [(r.problem, r.mv) for r in b]
 
 
 def test_run_suite_budget_one_fails(tmp_path):
-    from ql1.drivers import reference_objective
-    from ql1.fileio import read_problem
-
     manifest = _tiny_manifest(tmp_path)[1:]  # the strict-comp instance
     f_stars = {"sc": reference_objective(read_problem(manifest[0].path), 5000)}
-    results = run_suite(manifest, ["iicg2"], [1e-10], mv_budget=1, f_stars=f_stars)
+    results = run_suite(manifest, _configs(["iicg2"], [1e-10], 1), f_stars=f_stars)
     assert results[0].mv is None
     assert results[0].status in ("budget", "stalled")
 
@@ -200,7 +185,7 @@ def test_run_suite_zero_work_solve_counts_setup_only(tmp_path):
     path = tmp_path / "zero.ql1p"
     write_problem(path, p)
     manifest = [ManifestRow("zero", "custom", 0, "spd=1", str(path))]
-    results = run_suite(manifest, ["iicg2"], [1e-6], mv_budget=100)
+    results = run_suite(manifest, _configs(["iicg2"], [1e-6], 100))
     assert results[0].status == "converged"
     assert results[0].mv is not None and results[0].mv > 0  # spectral estimation only
 
@@ -208,25 +193,36 @@ def test_run_suite_zero_work_solve_counts_setup_only(tmp_path):
 def test_run_suite_missing_file_continues(tmp_path):
     manifest = _tiny_manifest(tmp_path)
     manifest.insert(0, ManifestRow("ghost", "custom", 0, "", str(tmp_path / "missing.ql1p")))
-    results = run_suite(manifest, ["iicg2"], [1e-4], mv_budget=5000)
+    results = run_suite(manifest, _configs(["iicg2"], [1e-4], 5000))
     assert results[0].status.startswith("error")
     assert results[0].mv is None
     assert all(r.status == "converged" for r in results[1:])
 
 
-def test_mv_to_accuracy_uses_first_record_meeting_target():
-    recs = [
-        TraceRecord(mv=5, k=1, f=10.0, nnz=0, step="ISTA"),
-        TraceRecord(mv=7, k=2, f=1.5, nnz=0, step="ISTA"),
-        TraceRecord(mv=9, k=3, f=1.0, nnz=0, step="ISTA"),
-    ]
-    from ql1.drivers import RunTrace
+def test_run_suite_mv_is_first_record_within_tol(tmp_path):
+    # the accuracy stop ends a solve at the first accepted step within tol,
+    # so its product count is where a long subgradient-norm run of the
+    # same solver first met the target (the start point counts as mv_setup)
+    manifest = _tiny_manifest(tmp_path)
+    solvers, tols = ["iicg1", "iicg2", "fista", "istabb"], [1e-4, 1e-10]
+    f_stars = {row.problem: reference_objective(read_problem(row.path)) for row in manifest}
+    results = iter(run_suite(manifest, _configs(solvers, tols, 5000), f_stars))
+    for row in manifest:
+        problem, f_star = read_problem(row.path), f_stars[row.problem]
+        for cfg in _configs(solvers, tols, 5000):
+            long = solve(problem, SolverConfig(algorithm=cfg.algorithm, tol=1e-15, mv_budget=5000))
+            points = [(long.mv_setup, long.f0)] + [(rec.mv, rec.f) for rec in long.records]
+            first = next(mv for mv, f in points if accuracy(f, f_star) <= cfg.tol)
+            assert next(results).mv == first, (row.problem, cfg.algorithm, cfg.tol)
 
-    trace = RunTrace(recs, np.zeros(1), "converged", mv_setup=2, f0=20.0, v0_norm=1.0, l_est=1.0)
-    assert mv_to_accuracy(trace, 1.0, tol=0.5) == 7
-    assert mv_to_accuracy(trace, 1.0, tol=1e-6) == 9
-    assert mv_to_accuracy(trace, 1.0, tol=100.0) == 2  # already met at x0
-    assert mv_to_accuracy(trace, -5.0, tol=1e-12) is None
+
+def test_run_suite_without_configs_solves_nothing(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved without a config")
+
+    monkeypatch.setattr(ql1.bench, "solve", no_solve)
+    monkeypatch.setattr(ql1.bench, "reference_objective", no_solve)
+    assert run_suite(_tiny_manifest(tmp_path), []) == []
 
 
 def test_bench_csv_roundtrip(tmp_path):

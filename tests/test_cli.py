@@ -58,10 +58,18 @@ def test_solve_and_trace(tmp_path, capsys):
     assert all(r["step"] in ("ISTA", "SUBISTA", "CG", "CUTBACK", "LSFALLBACK") for r in rows)
 
 
-def test_solve_requires_fstar_value(tmp_path):
+def test_solve_fstar_stops_on_accuracy(tmp_path, capsys):
     prob_path = tmp_path / "p.ql1p"
-    write_problem(prob_path, QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 1.0))
-    assert main(["solve", str(prob_path), "--termination", "fstar"]) == 2
+    inst = gen_strict_comp(12, 4, 40.0, 0.4, 0.5, seed=5)
+    write_problem(prob_path, inst.problem)
+    f_star = inst.problem.objective(inst.x_star, ax=inst.problem.op.dense() @ inst.x_star)
+    trace_path = tmp_path / "trace.csv"
+    rc = main(["solve", str(prob_path), "--tol", "1e-3", "--fstar", f"{f_star:.17g}",
+               "--trace-out", str(trace_path)])
+    assert rc == 0 and "status=converged" in capsys.readouterr().out
+    # the solve ends at the first step within tol of f*
+    accs = [(float(r["F"]) - f_star) / abs(f_star) for r in _read_csv(trace_path)]
+    assert accs[-1] <= 1e-3 and all(a > 1e-3 for a in accs[:-1])
 
 
 def test_solve_rejects_policy_the_solver_ignores(tmp_path, capsys):
@@ -161,6 +169,17 @@ def test_sweep_command(tmp_path):
     assert float(rows[0]["mean_inflation"]) == 1.0
 
 
+def test_sweep_missing_file_exits_one(tmp_path, capsys):
+    from ql1.fileio import ManifestRow
+
+    manifest_path = tmp_path / "manifest.csv"
+    write_manifest(manifest_path, [
+        ManifestRow("ghost", "custom", 0, "", str(tmp_path / "missing.ql1p")),
+    ])
+    assert main(["sweep", str(manifest_path), "--out", str(tmp_path / "sweep.csv")]) == 1
+    assert "ghost" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc_info:
         main(["no-such-command"])
@@ -179,7 +198,6 @@ def test_gen_suite_writes_manifest(tmp_path):
         read_problem(row.path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_indefinite_exits_one(tmp_path, capsys):
     prob_path = tmp_path / "indef.ql1p"
     write_problem(prob_path, QuadraticProblem(DenseOperator(np.diag([1.0, -1.0, 2.0])),

@@ -76,7 +76,7 @@ def test_one_dimensional_solution_all_solvers():
     # closed form x* = (b - tau)/a for b > tau > 0
     for algo in ALGOS:
         p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 1.0)
-        tr = solve(p, SolverConfig(algorithm=algo, tol=1e-12, termination="vnorm", mv_budget=5000))
+        tr = solve(p, SolverConfig(algorithm=algo, tol=1e-12, mv_budget=5000))
         assert tr.status == STATUS_CONVERGED
         assert tr.final_x[0] == pytest.approx(1.5, abs=1e-10)
         g = p.gradient(tr.final_x)
@@ -150,7 +150,6 @@ def test_accuracy_values():
     assert accuracy(1e-13, 0.0) == pytest.approx(0.1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reported_work_equals_counter_delta():
     # every operator application during a solve is visible in the trace,
     # also the CG product whose negative curvature ends an indefinite run
@@ -254,17 +253,14 @@ def test_mv_budget_is_a_hard_cap():
             assert p.objective(tr.final_x) == pytest.approx(tr.f_best, rel=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_indefinite_operator_is_unbounded():
     p = QuadraticProblem(DenseOperator(np.diag([1.0, -1.0, 2.0])), np.ones(3), 0.1)
     for algo in ALGOS:
         tr = solve(p, SolverConfig(algorithm=algo, mv_budget=2000))
         assert tr.status == STATUS_UNBOUNDED, algo
-        assert tr.mv_total < 2000
-        if algo != "fista":
-            # iiCG's first CG direction, and the curvature of istabb's
-            # second BB step, already show that A is indefinite
-            assert tr.mv_total - tr.mv_setup <= 3 and np.isfinite(tr.f_final)
+        # iiCG's first CG direction, and the curvature of istabb's second
+        # BB step and of FISTA's second step, already show that A is indefinite
+        assert tr.mv_total - tr.mv_setup <= 3 and np.isfinite(tr.f_final), algo
 
 
 def test_stalled_when_target_unreachable():
@@ -274,7 +270,6 @@ def test_stalled_when_target_unreachable():
         p,
         SolverConfig(
             algorithm="iicg2",
-            termination="fstar",
             f_star=f_min - 10.0,  # below the true minimum
             tol=1e-10,
             mv_budget=40000,
@@ -343,8 +338,6 @@ def test_trace_csv_roundtrip(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="nope")
-    with pytest.raises(ValueError):
-        SolverConfig(termination="fstar")  # missing f_star
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):

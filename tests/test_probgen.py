@@ -219,13 +219,26 @@ def test_read_detects_a_file_that_shrinks_while_open(tmp_path):
 
 
 def test_read_rejects_non_finite_values(tmp_path):
-    good = tmp_path / "good.ql1p"
-    write_problem(good, gen_elastic_net(4, 6, 1.0, 0.1, 0.2, seed=1).problem)
-    data = good.read_bytes()
-    bad = tmp_path / "nan.ql1p"
-    bad.write_bytes(data[:-8] + struct.pack("<d", float("nan")))  # tau is the last field
-    with pytest.raises(ValueError, match="finite"):
-        read_problem(bad)
+    # a NaN or inf in any field is reported at the byte where that field starts
+    factored = gen_elastic_net(4, 6, 1.0, 0.1, 0.2, seed=1).problem   # m=4, n=6
+    dense = gen_strict_comp(6, 2, 10.0, 0.2, 0.5, seed=1).problem
+    fields = {
+        "factored": {"matrix": (25, 25 + 8 * 7), "gamma": (217, 217),
+                     "b": (225, 225 + 8 * 5), "tau": (273, 273)},
+        "dense": {"matrix": (17, 17 + 8 * 35), "b": (305, 305 + 8 * 5), "tau": (353, 353)},
+    }
+    for kind, problem in (("factored", factored), ("dense", dense)):
+        good = tmp_path / f"{kind}.ql1p"
+        write_problem(good, problem)
+        data = good.read_bytes()
+        for field, (start, where) in fields[kind].items():
+            for value in (float("nan"), float("-inf")):
+                bad = tmp_path / "bad.ql1p"
+                bad.write_bytes(data[:where] + struct.pack("<d", value) + data[where + 8:])
+                with pytest.raises(ProblemFormatError, match="finite") as exc_info:
+                    read_problem(bad)
+                assert exc_info.value.offset == start, (kind, field)
+                assert isinstance(exc_info.value, ValueError)
 
 
 def test_read_rejects_trailing_bytes(tmp_path):
@@ -270,3 +283,16 @@ def test_factored_generators_need_about_the_instance_size():
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 250 * 500 * 8
+
+
+def test_strict_comp_builds_its_matrix_in_place():
+    # after QR the sign fix, the scaling and the symmetrisation reuse their
+    # arrays, so QR's own workspace is the peak
+    n = 500
+    tracemalloc.start()
+    try:
+        gen_strict_comp(n, 15, 1e3, 1.0, 0.5, seed=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * n * n * 8
