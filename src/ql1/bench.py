@@ -25,7 +25,7 @@ from ql1.drivers import (
     reference_objective,
     solve,
 )
-from ql1.fileio import ManifestRow, read_problem
+from ql1.fileio import ManifestRow, read_csv, read_problem
 
 
 @dataclass
@@ -224,22 +224,20 @@ def write_bench_csv(path, results: list[BenchResult]) -> None:
 
 
 def read_bench_csv(path) -> list[BenchResult]:
-    results = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            mv = None if row["mv"] == "-" else int(row["mv"])
-            results.append(
-                BenchResult(
-                    problem=row["problem"],
-                    solver=row["solver"],
-                    tol=float(row["tol"]),
-                    mv=mv,
-                    seconds=float(row["seconds"]),
-                    final_accuracy=float(row["accuracy"]),
-                    status=row["status"],
-                )
-            )
-    return results
+    columns = {
+        "problem": str,
+        "solver": str,
+        "tol": float,
+        "mv": lambda text: None if text == "-" else int(text),
+        "seconds": float,
+        "accuracy": float,
+        "status": str,
+    }
+    return [
+        BenchResult(row["problem"], row["solver"], row["tol"], row["mv"], row["seconds"],
+                    row["accuracy"], row["status"])
+        for row in read_csv(path, columns)
+    ]
 
 
 def write_profile_csv(path, points: list[ProfilePoint]) -> None:

@@ -41,13 +41,11 @@ class CGState:
     r: np.ndarray          # Ax - b + tau*sign(anchor), maintained by recurrence
     rho: np.ndarray        # r projected onto the free subspace
     d: np.ndarray          # search direction, supported on the free subspace
-    anchor: np.ndarray     # point where the cycle started
-    anchor_sign: np.ndarray
+    anchor_sign: np.ndarray  # sign of the point where the cycle started
     free: np.ndarray       # anchor != 0: the subspace the cycle moves in
     shift: np.ndarray      # tau*sign(anchor), so that r = Ax - b + shift
     rho_dot: float         # cached r'rho = ||rho||^2
     last_ad: np.ndarray | None = None   # A d of the step that produced this state
-    last_alpha: float = 0.0             # steplength of that step
 
     def smooth_grad(self) -> np.ndarray:
         """Gradient Ax - b at the current iterate, from the cached residual."""
@@ -72,7 +70,6 @@ def init_cg_cycle(x, g, tau: float) -> CGState:
         r=r,
         rho=rho,
         d=-rho,
-        anchor=x.copy(),
         anchor_sign=sign,
         free=free,
         shift=shift,
@@ -102,11 +99,11 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     d_new = -rho_new + beta * s.d
     crossed = bool(np.any(np.sign(x_new) != s.anchor_sign))
     s_next = replace(s, x=x_new, r=r_new, rho=rho_new, d=d_new, rho_dot=rho_dot_new,
-                     last_ad=ad, last_alpha=alpha)
+                     last_ad=ad)
     return s_next, crossed
 
 
-def cutback_alpha(x_k, anchor, d) -> tuple[float, np.ndarray, bool]:
+def cutback_alpha(x_k, anchor_sign, d) -> tuple[float, np.ndarray, bool]:
     """Largest steplength along d that keeps x_k on the anchor's closed orthant.
 
     Returns ``(alpha_b, snap_mask, moved)``. ``moved`` is False when x_k
@@ -116,14 +113,13 @@ def cutback_alpha(x_k, anchor, d) -> tuple[float, np.ndarray, bool]:
     boundary-bound coordinate the full step alpha_b = 1 is returned.
     """
     x_k = np.asarray(x_k, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
+    anchor_sign = np.asarray(anchor_sign, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    anchor_sign = np.sign(anchor)
     if np.any(np.sign(x_k) != anchor_sign):
         return 0.0, np.zeros(x_k.shape, dtype=bool), False
     # x_k has the anchor's signs here, so d against a sign is a crossing
     # (x_k * d < 0 would miss products that underflow to -0.0)
-    crossing = (anchor != 0.0) & (np.sign(d) == -anchor_sign)
+    crossing = (anchor_sign != 0.0) & (np.sign(d) == -anchor_sign)
     if not np.any(crossing):
         return 1.0, np.zeros(x_k.shape, dtype=bool), True
     ratios = np.full(x_k.shape, np.inf)
@@ -151,7 +147,7 @@ def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> 
         x = s.x.copy()
     r = s.r + alpha_b * ad
     rho = np.where(s.free, r, 0.0)
-    return replace(s, x=x, r=r, rho=rho, rho_dot=float(r @ rho), last_ad=ad, last_alpha=alpha_b)
+    return replace(s, x=x, r=r, rho=rho, rho_dot=float(r @ rho), last_ad=ad)
 
 
 def orthant_model_value(x, anchor, ax, b, tau: float) -> float:

@@ -80,11 +80,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     trace = drivers.solve(problem, cfg)
     if args.trace_out:
         drivers.write_trace_csv(trace, args.trace_out)
+    # final_x is the last point of a converged solve and the best one otherwise
+    converged = trace.status == drivers.STATUS_CONVERGED
+    f = trace.f_final if converged else trace.f_best
     print(
         f"status={trace.status} mv={trace.mv_total} steps={len(trace.records)} "
-        f"F={trace.f_final:.12e} nnz={int(np.count_nonzero(trace.final_x))}"
+        f"F={f:.12e} nnz={int(np.count_nonzero(trace.final_x))}"
     )
-    return 0 if trace.status == drivers.STATUS_CONVERGED else 1
+    return 0 if converged else 1
 
 
 def _add_fstar(sub: argparse._SubParsersAction) -> None:

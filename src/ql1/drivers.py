@@ -29,8 +29,8 @@ from ql1.cg import (
     init_cg_cycle,
     sufficient_decrease,
 )
-from ql1.first_order import LineSearchMemory, bb_ls_step, ista_step, subspace_ista_step
-from ql1.first_order import step_curvature
+from ql1.fileio import read_csv
+from ql1.first_order import bb_ls_step, ista_step, ls_window, step_curvature, subspace_ista_step
 from ql1.problem import CountingOperator, QuadraticProblem
 from ql1.rng import Rng
 # The five split helpers stay importable here for the benchmark's tracer.
@@ -85,7 +85,7 @@ class SolverConfig:
     the first-order steplength: "bb" (BB nonmonotone line search) or
     "constant" (1/L). ``iicg1`` and ``iicg2`` accept both and default to
     "bb"; ``fista`` accepts only "constant" and ``istabb`` only "bb".
-    None selects the default, and any other value raises ValueError.
+    None is replaced by the default, and any other value raises ValueError.
     The balance test of ``iicg2`` uses the steplength
     1/(``bal_factor`` * L). ``l_value`` injects an exact largest
     eigenvalue and skips the Lanczos estimate (theory-check runs).
@@ -107,18 +107,24 @@ class SolverConfig:
         if self.algorithm not in _POLICIES:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         allowed = _POLICIES[self.algorithm]
-        if self.alpha_policy is not None and self.alpha_policy not in allowed:
+        if self.alpha_policy is None:
+            self.alpha_policy = allowed[0]
+        if self.alpha_policy not in allowed:
             raise ValueError(
                 f"{self.algorithm} does not run alpha_policy {self.alpha_policy!r}; "
                 f"choose from {', '.join(allowed)}"
             )
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.mv_budget < 1:
-            raise ValueError("mv_budget must be at least 1")
-
-    def policy(self) -> str:
-        return self.alpha_policy or _POLICIES[self.algorithm][0]
+        # comparisons with NaN are False, so NaN fails every rule
+        for name, ok, rule in (
+            ("tol", self.tol > 0, "a positive number"),
+            ("f_star", self.f_star is None or math.isfinite(self.f_star), "finite"),
+            ("bal_factor", 0 < self.bal_factor < math.inf, "finite and positive"),
+            ("l_value", self.l_value is None or 0 < self.l_value < math.inf, "finite and positive"),
+            ("c", 0 <= self.c < math.inf, "finite and nonnegative"),
+            ("mv_budget", self.mv_budget >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -150,7 +156,8 @@ class RunTrace:
 
     @property
     def f_best(self) -> float:
-        return min((r.f for r in self.records), default=self.f0)
+        """F at the best point seen, the start included; ``final_x`` unless converged."""
+        return min((self.f0, *(r.f for r in self.records)))
 
 
 def accuracy(f_k: float, f_star: float) -> float:
@@ -316,15 +323,12 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
     curv_tol = 1e-14 * l_est
     rho_tol = 1e-14 * (1.0 + float(np.linalg.norm(b)))
     # sp, the split at the accepted iterate (x, g), serves the stop test,
-    # iiCG-2's choice of mode and the CG cycle's tests
+    # iiCG-2's choice of prox step and the CG cycle's tests
     sp = split_subgradient(x, g, tau, alpha_bal)
     run.begin(x, f, sp)
 
-    mem = LineSearchMemory()
-    mem.seed(f)
-    use_bb = cfg.policy() == "bb"
-    x_prev: np.ndarray | None = None
-    g_prev: np.ndarray | None = None
+    window = ls_window(f)
+    x_prev = g_prev = None
 
     while run.status is None:
         # An unrecorded product (a curvature break) can use up the budget.
@@ -335,11 +339,14 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
         # First-order phase. iiCG-2 refines the current support when
         # the balance condition holds and releases variables otherwise;
         # the others always take the full step.
-        mode = "subspace" if cfg.algorithm == "iicg2" and sp.balanced else "full"
-        step_name = STEP_SUBISTA if mode == "subspace" else STEP_ISTA
-        if use_bb:
+        if cfg.algorithm == "iicg2" and sp.balanced:
+            stepper, step_name = subspace_ista_step, STEP_SUBISTA
+        else:
+            stepper, step_name = ista_step, STEP_ISTA
+        if cfg.alpha_policy == "bb":
             try:
-                res = bb_ls_step(problem, x, g, x_prev, g_prev, mode, mem, alpha_const, mv_left)
+                res = bb_ls_step(problem, x, g, x_prev, g_prev, stepper, window, alpha_const,
+                                 mv_left)
             except CurvatureBreak:
                 run.status = STATUS_UNBOUNDED
                 break
@@ -348,13 +355,10 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
             if res.fallback:
                 step_name = STEP_LSFALLBACK
         else:
-            stepper = subspace_ista_step if mode == "subspace" else ista_step
-            x_new = stepper(x, g, tau, alpha_const)
-            ax_new = op.apply(x_new)
             x_prev, g_prev = x, g
-            f = problem.objective(x_new, ax=ax_new)
-            g = ax_new - b
-            x = x_new
+            x = stepper(x, g, tau, alpha_const)
+            ax = op.apply(x)
+            f, g = problem.objective(x, ax=ax), ax - b
         sp = split_subgradient(x, g, tau, alpha_bal)
         if run.record(x, f, step_name, sp) or cfg.algorithm == "istabb":
             continue
@@ -374,7 +378,7 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
             f_new = st_new.objective(b, tau)
             x_prev, g_prev = x, g
             if crossed and not sufficient_decrease(f_new, f, cur.min_norm, cfg.c):
-                st = cutback(st, st_new.last_ad, cutback_alpha(st.x, st.anchor, st.d))
+                st = cutback(st, st_new.last_ad, cutback_alpha(st.x, st.anchor_sign, st.d))
                 f_new, step_name = st.objective(b, tau), STEP_CUTBACK
             else:
                 st, step_name = st_new, STEP_CG
@@ -446,16 +450,6 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 
 
 def read_trace_records(path) -> list[TraceRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                TraceRecord(
-                    mv=int(row["mv"]),
-                    k=int(row["k"]),
-                    f=float(row["F"]),
-                    nnz=int(row["nnz"]),
-                    step=row["step"],
-                )
-            )
-    return records
+    columns = {"mv": int, "k": int, "F": float, "nnz": int, "step": str}
+    return [TraceRecord(r["mv"], r["k"], r["F"], r["nnz"], r["step"])
+            for r in read_csv(path, columns)]

@@ -21,6 +21,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -178,17 +179,36 @@ def write_manifest(path, rows: list[ManifestRow]) -> None:
             writer.writerow([row.problem, row.family, row.seed, row.params, row.path])
 
 
-def read_manifest(path) -> list[ManifestRow]:
-    rows = []
+def read_csv(path, columns: dict[str, Callable[[str], Any]]) -> list[dict[str, Any]]:
+    """The rows of a CSV file with a header line, as dicts of converted values.
+
+    ``columns`` maps each column the caller needs to the function that
+    converts its text; other columns are ignored, and blank lines are
+    skipped. A missing column, a row whose width differs from the
+    header's, or a value its function rejects raises ValueError naming
+    the file and line.
+    """
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ManifestRow(
-                    problem=rec["problem"],
-                    family=rec["family"],
-                    seed=int(rec["seed"]),
-                    params=rec["params"],
-                    path=rec["path"],
-                )
-            )
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise ValueError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+        index = {name: header.index(name) for name in columns}
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+            try:
+                rows.append({name: conv(row[index[name]]) for name, conv in columns.items()})
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return rows
+
+
+def read_manifest(path) -> list[ManifestRow]:
+    columns = {"problem": str, "family": str, "seed": int, "params": str, "path": str}
+    return [ManifestRow(**rec) for rec in read_csv(path, columns)]

@@ -9,7 +9,9 @@ new gradient together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,28 +42,16 @@ def subspace_ista_step(x, g, tau: float, alpha: float) -> np.ndarray:
     return np.where(x == 0.0, 0.0, full)
 
 
-@dataclass
-class LineSearchMemory:
-    """Nonmonotone reference window for the BB line search.
+# The BB line search's reference is the largest of the last LS_WINDOW
+# accepted F values; LS_XI and LS_MAX_HALVINGS enter its acceptance rule.
+LS_WINDOW = 5
+LS_XI = 0.005
+LS_MAX_HALVINGS = 60
 
-    ``window`` always holds exactly ``m`` finite objective values; it is
-    seeded with F(x0) and shifts in each accepted value, newest first.
-    """
 
-    m: int = 5
-    xi: float = 0.005
-    max_halvings: int = 60
-    window: list[float] = field(default_factory=list)
-
-    def seed(self, f0: float) -> None:
-        self.window = [float(f0)] * self.m
-
-    def push(self, f_new: float) -> None:
-        self.window = [float(f_new)] + self.window[: self.m - 1]
-
-    @property
-    def reference(self) -> float:
-        return max(self.window)
+def ls_window(f0: float) -> deque:
+    """The line search's reference window, seeded with F(x0)."""
+    return deque([float(f0)] * LS_WINDOW, maxlen=LS_WINDOW)
 
 
 @dataclass
@@ -69,7 +59,6 @@ class BBStepResult:
     x: np.ndarray
     g: np.ndarray
     f: float
-    mv_used: int
     alpha_used: float
     fallback: bool
     trials: int
@@ -111,63 +100,55 @@ def bb_ls_step(
     g: np.ndarray,
     x_prev: np.ndarray | None,
     g_prev: np.ndarray | None,
-    mode: str,
-    mem: LineSearchMemory,
+    step: Callable[[np.ndarray, np.ndarray, float, float], np.ndarray],
+    window: deque,
     fallback_alpha: float,
-    mv_left: int | None = None,
+    mv_left: int,
 ) -> BBStepResult:
     """One BB step with nonmonotone halving line search.
 
-    ``mode`` is "full" (proximal step over all coordinates) or
-    "subspace" (zero coordinates frozen; the support displacement is
-    recomputed at every trial steplength). A trial at steplength a is
-    accepted when
+    ``step(x, g, tau, alpha)`` is the proximal step the caller chose:
+    :func:`ista_step` over all coordinates, or :func:`subspace_ista_step`
+    with the zero coordinates frozen. A trial at steplength a is accepted
+    when
 
-        F(x_trial) <= max(window) - (a/2) * xi * ||x - x_trial||^2,
+        F(x_trial) <= max(window) - (a/2) * LS_XI * ||x - x_trial||^2,
 
     the halved steplength appearing because the halving precedes the
-    test. If ``max_halvings`` trials all fail, the step falls back to
-    ``fallback_alpha`` and is accepted unconditionally (flagged).
+    test. If LS_MAX_HALVINGS trials all fail, the step falls back to
+    ``fallback_alpha`` and is accepted unconditionally (flagged). The
+    accepted F enters the front of ``window`` (see :func:`ls_window`).
     ``mv_left`` (at least 1) caps the number of trials: when it is used
     up, the last trial is returned although the test rejected it. A
     :class:`CurvatureBreak` from :func:`bb_stepsize` comes before any trial.
     """
-    if mode not in ("full", "subspace"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mv_left is not None and mv_left < 1:
+    if mv_left < 1:
         raise ValueError(f"mv_left must be at least 1, got {mv_left}")
-    tau = problem.tau
-    reference = mem.reference
+    reference = max(window)
     alpha = bb_stepsize(x, x_prev, g, g_prev, fallback_alpha)
-    mv_used = 0
     fallback = False
     trials = 0
     while True:
         trials += 1
-        if trials > mem.max_halvings:
+        if trials > LS_MAX_HALVINGS:
             alpha = fallback_alpha
             fallback = True
-        if mode == "full":
-            x_trial = ista_step(x, g, tau, alpha)
-        else:
-            x_trial = subspace_ista_step(x, g, tau, alpha)
+        x_trial = step(x, g, problem.tau, alpha)
         ax_trial = problem.op.apply(x_trial)
-        mv_used += 1
         f_trial = problem.objective(x_trial, ax=ax_trial)
         if fallback:
             break
         diff = x - x_trial
-        if f_trial <= reference - (alpha / 2.0) * mem.xi * float(diff @ diff):
+        if f_trial <= reference - (alpha / 2.0) * LS_XI * float(diff @ diff):
             break
-        if mv_used == mv_left:
+        if trials == mv_left:
             break
         alpha /= 2.0
-    mem.push(f_trial)
+    window.appendleft(f_trial)
     return BBStepResult(
         x=x_trial,
         g=ax_trial - problem.b,
         f=f_trial,
-        mv_used=mv_used,
         alpha_used=alpha,
         fallback=fallback,
         trials=trials,

@@ -56,7 +56,6 @@ def test_cg_step_1d_crossing():
     assert np.array_equal(s.d, [-2.0])
     s1, crossed = cg_step(s, op)
     # alpha = r'rho / d'Ad = 4/8 = 0.5, landing exactly at 0
-    assert s1.last_alpha == 0.5
     assert np.array_equal(s1.x, [0.0])
     assert crossed
 
@@ -105,7 +104,7 @@ def test_cycle_conjugacy_descent_and_finite_termination():
         assert len(states) - 1 <= support + 2
         # model value decreases strictly while stepping
         q_vals = [
-            orthant_model_value(s.x, s.anchor, a @ s.x, b, tau) for s in states
+            orthant_model_value(s.x, s.anchor_sign, a @ s.x, b, tau) for s in states
         ]
         for q_prev, q_next in zip(q_vals, q_vals[1:]):
             assert q_next < q_prev + 1e-12
@@ -139,9 +138,9 @@ def test_residual_recurrence_consistency():
         bound = 1e-8 * np.abs(a).max() * max(np.linalg.norm(s.x), 1.0)
         assert np.abs(s.r - explicit).max() <= bound
         # the anchor's zero coordinates stay exactly zero all cycle
-        assert np.all(s.x[s.anchor == 0.0] == 0.0)
-        assert np.all(s.rho[s.anchor == 0.0] == 0.0)
-        assert np.all(s.d[s.anchor == 0.0] == 0.0)
+        assert np.all(s.x[~s.free] == 0.0)
+        assert np.all(s.rho[~s.free] == 0.0)
+        assert np.all(s.d[~s.free] == 0.0)
 
 
 def test_objective_from_state_matches_direct_evaluation():
@@ -163,10 +162,10 @@ def _cut(x_k, anchor, d, ad):
     x_k, anchor, d, ad = (np.asarray(v, dtype=np.float64) for v in (x_k, anchor, d, ad))
     r = np.zeros_like(x_k)
     s = CGState(
-        x=x_k, r=r, rho=r, d=d, anchor=anchor, anchor_sign=np.sign(anchor),
+        x=x_k, r=r, rho=r, d=d, anchor_sign=np.sign(anchor),
         free=anchor != 0.0, shift=np.zeros_like(x_k), rho_dot=0.0,
     )
-    return cutback(s, ad, cutback_alpha(x_k, anchor, d))
+    return cutback(s, ad, cutback_alpha(x_k, s.anchor_sign, d))
 
 
 def test_cutback_hand_example():
@@ -174,15 +173,14 @@ def test_cutback_hand_example():
     x_cg = np.array([1.0, 1.0])
     x_k = np.array([1.0, 2.0])
     d = np.array([-2.0, 1.0])
-    alpha_b, snap, moved = cutback_alpha(x_k, x_cg, d)
+    alpha_b, snap, moved = cutback_alpha(x_k, np.sign(x_cg), d)
     assert moved
     assert alpha_b == 0.5
     out = _cut(x_k, x_cg, d, ad=[4.0, -2.0])
     assert np.array_equal(out.x, [0.0, 2.5])
     assert out.x[0] == 0.0  # snapped exactly
     assert np.array_equal(out.r, [2.0, -1.0])  # r + alpha_b * Ad
-    assert out.last_alpha == 0.5
-    assert np.array_equal(out.anchor, x_cg)
+    assert np.array_equal(out.anchor_sign, np.sign(x_cg))
 
 
 def test_cutback_matches_scan_oracle():
@@ -192,7 +190,7 @@ def test_cutback_matches_scan_oracle():
         x_cg = np.sign(rng.standard_normal(n)) * rng.uniform(0.5, 2, n)
         x_k = x_cg * rng.uniform(0.5, 1.5, n)  # same orthant
         d = rng.standard_normal(n)
-        alpha_b, snap, moved = cutback_alpha(x_k, x_cg, d)
+        alpha_b, snap, moved = cutback_alpha(x_k, np.sign(x_cg), d)
         assert moved
         boundary_bound = (x_cg != 0) & (np.sign(d) == -np.sign(x_cg)) & (x_k * d < 0)
         if not np.any(boundary_bound):
@@ -262,10 +260,10 @@ def test_cutback_property_on_cycles(cycle):
             s_new, _ = cg_step(s, op)
         except CurvatureBreak:
             break
-        c = cutback(s, s_new.last_ad, cutback_alpha(s.x, s.anchor, s.d))
+        c = cutback(s, s_new.last_ad, cutback_alpha(s.x, s.anchor_sign, s.d))
         # the point lies on the anchor's closed orthant
         assert np.all(np.sign(c.x) * s.anchor_sign >= 0.0)
-        assert np.all(c.x[s.anchor == 0.0] == 0.0)
+        assert np.all(c.x[~s.free] == 0.0)
         # the residual is A x - b + tau*sign(anchor)
         direct_r = a @ c.x - b + tau * s.anchor_sign
         scale = 1.0 + np.abs(a).sum(axis=1).max() * max(np.abs(c.x).max(), np.abs(s.x).max())

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ql1.cli import main
+from ql1.drivers import SolverConfig, solve
 from ql1.fileio import read_manifest, read_problem, write_manifest, write_problem
-from ql1.probgen import gen_strict_comp
+from ql1.probgen import gen_elastic_net, gen_strict_comp
 from ql1.problem import DenseOperator, QuadraticProblem
 
 
@@ -204,3 +205,67 @@ def test_solve_indefinite_exits_one(tmp_path, capsys):
                                               np.ones(3), 0.1))
     assert main(["solve", str(prob_path)]) == 1
     assert "status=unbounded" in capsys.readouterr().out
+
+
+def test_solve_rejects_nan_tol(tmp_path, capsys):
+    prob_path = tmp_path / "p.ql1p"
+    write_problem(prob_path, QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 1.0))
+    assert main(["solve", str(prob_path), "--tol", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: tol must be")
+
+
+def test_solve_prints_f_and_nnz_of_the_same_point(tmp_path, capsys):
+    # a budget stop: final_x is the best point, not the last one
+    problem = gen_elastic_net(50, 100, 10.0, 0.0, 1.0, seed=3).problem
+    prob_path = tmp_path / "p.ql1p"
+    write_problem(prob_path, problem)
+    args = ["--algorithm", "istabb", "--tol", "1e-14", "--budget", "18"]
+    assert main(["solve", str(prob_path), *args]) == 1
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    trace = solve(problem, SolverConfig(algorithm="istabb", tol=1e-14, mv_budget=18))
+    assert trace.status == fields["status"] == "budget"
+    f_final_x = problem.objective(trace.final_x)
+    assert trace.f_final != pytest.approx(f_final_x, rel=1e-6)
+    assert float(fields["F"]) == pytest.approx(f_final_x, rel=1e-11)
+    assert int(fields["nnz"]) == np.count_nonzero(trace.final_x)
+
+
+_GOOD_CSV = {
+    "pareto": "mv,k,F,nnz,step\n1,1,-2.0,1,ISTA\n2,2,-2.25,1,CG\n",
+    "profile": "problem,solver,tol,mv,seconds,accuracy,status\n"
+               "p1,iicg2,0.0001,5,0.001,1e-05,converged\n"
+               "p1,fista,0.0001,-,0.002,1e-03,budget\n",
+    "bench": "problem,family,seed,params,path\nm0,custom,0,spd=1,m0.ql1p\nm1,custom,1,spd=1,m1.ql1p\n",
+}
+_GOOD_CSV["sweep"] = _GOOD_CSV["bench"]
+_MISSING = {"pareto": "mv", "profile": "mv", "bench": "params", "sweep": "params"}
+
+
+def _drop_column(text, name):
+    lines = [line.split(",") for line in text.splitlines()]
+    j = lines[0].index(name)
+    return "".join(",".join(f for i, f in enumerate(line) if i != j) + "\n" for line in lines)
+
+
+def _short_last_row(text):
+    lines = text.splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fault", ["missing-column", "short-row"])
+@pytest.mark.parametrize("command", ["pareto", "profile", "bench", "sweep"])
+def test_malformed_csv_exits_one(tmp_path, capsys, command, fault):
+    text = _GOOD_CSV[command]
+    if fault == "missing-column":
+        text, line = _drop_column(text, _MISSING[command]), 1
+    else:
+        text, line = _short_last_row(text), 3
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    extra = ["--fstar", "-2.25"] if command == "pareto" else []
+    assert main([command, str(path), *extra, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{path}, line {line}:" in err
+    if fault == "missing-column":
+        assert _MISSING[command] in err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -342,16 +344,31 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(mv_budget=0)
+    # values that would otherwise burn the budget or divide by zero in solve
+    nan, inf = math.nan, math.inf
+    bad = [
+        dict(tol=nan), dict(tol=-1e-6),
+        dict(f_star=nan), dict(f_star=inf), dict(f_star=-inf),
+        dict(bal_factor=0.0), dict(bal_factor=-1.0), dict(bal_factor=nan), dict(bal_factor=inf),
+        dict(l_value=0.0), dict(l_value=-2.0), dict(l_value=nan), dict(l_value=inf),
+        dict(c=-1e-4), dict(c=nan), dict(c=inf),
+    ]
+    for kwargs in bad:
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            SolverConfig(**kwargs)
+    # the boundary values stay valid
+    SolverConfig(f_star=-1e300, bal_factor=1e-3, l_value=1e-300, c=0.0, tol=1e300)
 
 
 def test_alpha_policy_table():
     # each algorithm runs the policies it lists, the first by default;
     # a policy it would ignore is rejected, not silently replaced
-    assert SolverConfig(algorithm="fista").policy() == "constant"
+    assert SolverConfig(algorithm="fista").alpha_policy == "constant"
     for algo in ("iicg1", "iicg2", "istabb"):
-        assert SolverConfig(algorithm=algo).policy() == "bb"
+        assert SolverConfig(algorithm=algo).alpha_policy == "bb"
     for algo in ("iicg1", "iicg2"):
-        assert SolverConfig(algorithm=algo, alpha_policy="constant").policy() == "constant"
+        assert SolverConfig(algorithm=algo, alpha_policy="constant").alpha_policy == "constant"
     with pytest.raises(ValueError, match="fista"):
         SolverConfig(algorithm="fista", alpha_policy="bb")
     with pytest.raises(ValueError, match="istabb"):

@@ -3,10 +3,13 @@ import pytest
 
 from ql1.cg import CurvatureBreak
 from ql1.first_order import (
-    LineSearchMemory,
+    LS_MAX_HALVINGS,
+    LS_WINDOW,
+    LS_XI,
     bb_ls_step,
     bb_stepsize,
     ista_step,
+    ls_window,
     subspace_ista_step,
 )
 from ql1.problem import DenseOperator, QuadraticProblem
@@ -165,25 +168,26 @@ def test_bb_stepsize_negative_curvature_is_a_curvature_break():
 
 def test_bb_ls_step_accepts_exact_1d_minimizer_first_trial():
     p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 0.0)
-    mem = LineSearchMemory()
-    mem.seed(p.objective(np.array([1.0])))
+    window = ls_window(p.objective(np.array([1.0])))
+    mv0 = p.op.mv_count
     res = bb_ls_step(
         p,
         x=np.array([1.0]),
         g=np.array([-2.0]),
         x_prev=np.array([0.0]),
         g_prev=np.array([-4.0]),
-        mode="full",
-        mem=mem,
+        step=ista_step,
+        window=window,
         fallback_alpha=0.1,
+        mv_left=100,
     )
     # BB step is exact for 1-D quadratics: 1 - 0.5*(-2) = 2 = minimizer
     assert np.array_equal(res.x, [2.0])
     assert res.trials == 1
-    assert res.mv_used == 1
+    assert p.op.mv_count - mv0 == res.trials
     assert not res.fallback
     assert res.f == pytest.approx(-4.0, abs=0)
-    assert mem.window[0] == res.f
+    assert window[0] == res.f
 
 
 def test_bb_ls_accepted_steps_satisfy_nonmonotone_bound():
@@ -192,17 +196,16 @@ def test_bb_ls_accepted_steps_satisfy_nonmonotone_bound():
     raw = rng.standard_normal((n, n))
     p = QuadraticProblem(DenseOperator(raw @ raw.T + np.eye(n)), rng.standard_normal(n) * 2, 0.5)
     big_l = float(np.linalg.eigvalsh(p.op.dense())[-1])
-    mem = LineSearchMemory()
     x = np.zeros(n)
     g = -p.b.copy()
-    mem.seed(0.0)
+    window = ls_window(0.0)
     x_prev = g_prev = None
     for _ in range(60):
-        ref = mem.reference
-        res = bb_ls_step(p, x, g, x_prev, g_prev, "full", mem, 1.0 / big_l)
+        ref = max(window)
+        res = bb_ls_step(p, x, g, x_prev, g_prev, ista_step, window, 1.0 / big_l, 1000)
         if not res.fallback:
             diff = x - res.x
-            assert res.f <= ref - (res.alpha_used / 2) * mem.xi * float(diff @ diff) + 1e-12
+            assert res.f <= ref - (res.alpha_used / 2) * LS_XI * float(diff @ diff) + 1e-12
         x_prev, g_prev = x, g
         x, g = res.x, res.g
 
@@ -216,57 +219,56 @@ def test_bb_ls_subspace_mode_freezes_zeros():
     x[::2] = 0.0
     ax = p.op.apply(x)
     g = p.gradient(x, ax=ax)
-    mem = LineSearchMemory()
-    mem.seed(p.objective(x, ax=ax))
-    res = bb_ls_step(p, x, g, None, None, "subspace", mem, 0.05)
+    window = ls_window(p.objective(x, ax=ax))
+    res = bb_ls_step(p, x, g, None, None, subspace_ista_step, window, 0.05, 1000)
     assert np.all(res.x[x == 0.0] == 0.0)
 
 
 def test_bb_ls_fallback_after_max_halvings():
     # an artificially unreachable reference forces the fallback path
     p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 0.0)
-    mem = LineSearchMemory(max_halvings=5)
-    mem.window = [-1e9] * mem.m
+    window = ls_window(-1e9)
     res = bb_ls_step(
         p,
         x=np.array([1.0]),
         g=np.array([-2.0]),
         x_prev=None,
         g_prev=None,
-        mode="full",
-        mem=mem,
+        step=ista_step,
+        window=window,
         fallback_alpha=0.125,
+        mv_left=1000,
     )
     assert res.fallback
     assert res.alpha_used == 0.125
-    assert res.trials == 6
-    assert res.mv_used == 6
+    assert res.trials == LS_MAX_HALVINGS + 1 == 61
+    assert p.op.mv_count == res.trials
     # the fallback value still enters the window
-    assert mem.window[0] == res.f
+    assert window[0] == res.f
 
 
 def test_bb_ls_stops_at_mv_left():
     # the same unreachable reference: mv_left ends the search before the fallback
     p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 0.0)
-    mem = LineSearchMemory(max_halvings=5)
-    mem.window = [-1e9] * mem.m
-    res = bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, "full", mem,
+    window = ls_window(-1e9)
+    res = bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, ista_step, window,
                      fallback_alpha=0.125, mv_left=3)
-    assert res.trials == res.mv_used == p.op.mv_count == 3
+    assert res.trials == p.op.mv_count == 3
     assert not res.fallback
     assert res.alpha_used == 0.125 / 4
     with pytest.raises(ValueError):
-        bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, "full", mem,
+        bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, ista_step, window,
                    fallback_alpha=0.125, mv_left=0)
 
 
 def test_line_search_memory_window_shift():
-    mem = LineSearchMemory(m=3)
-    mem.seed(5.0)
-    assert mem.window == [5.0, 5.0, 5.0]
-    mem.push(4.0)
-    assert mem.window == [4.0, 5.0, 5.0]
-    mem.push(2.0)
-    mem.push(3.0)
-    assert mem.window == [3.0, 2.0, 4.0]
-    assert mem.reference == 4.0
+    assert (LS_WINDOW, LS_XI, LS_MAX_HALVINGS) == (5, 0.005, 60)
+    window = ls_window(5.0)
+    assert list(window) == [5.0] * 5
+    window.appendleft(4.0)
+    assert list(window) == [4.0, 5.0, 5.0, 5.0, 5.0]
+    for f in (2.0, 3.0, 1.0, 1.0):
+        window.appendleft(f)
+    # newest first; the seed has left the window
+    assert list(window) == [1.0, 1.0, 3.0, 2.0, 4.0]
+    assert max(window) == 4.0
