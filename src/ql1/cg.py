@@ -11,7 +11,7 @@ first-order phase all cost zero extra matrix-vector products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,8 +98,8 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     beta = rho_dot_new / s.rho_dot
     d_new = -rho_new + beta * s.d
     crossed = bool(np.any(np.sign(x_new) != s.anchor_sign))
-    s_next = replace(s, x=x_new, r=r_new, rho=rho_new, d=d_new, rho_dot=rho_dot_new,
-                     last_ad=ad)
+    s_next = CGState(x=x_new, r=r_new, rho=rho_new, d=d_new, anchor_sign=s.anchor_sign,
+                     free=s.free, shift=s.shift, rho_dot=rho_dot_new, last_ad=ad)
     return s_next, crossed
 
 
@@ -147,18 +147,8 @@ def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> 
         x = s.x.copy()
     r = s.r + alpha_b * ad
     rho = np.where(s.free, r, 0.0)
-    return replace(s, x=x, r=r, rho=rho, rho_dot=float(r @ rho), last_ad=ad)
-
-
-def orthant_model_value(x, anchor, ax, b, tau: float) -> float:
-    """Model value 1/2 x'(Ax) + (-b + tau*sign(anchor))'x; Ax supplied, no products.
-
-    Equals F(x) whenever sign(x) matches sign(anchor).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.asarray(ax, dtype=np.float64)
-    shifted = -np.asarray(b, dtype=np.float64) + tau * np.sign(anchor)
-    return 0.5 * float(x @ ax) + float(shifted @ x)
+    return CGState(x=x, r=r, rho=rho, d=s.d, anchor_sign=s.anchor_sign, free=s.free,
+                   shift=s.shift, rho_dot=float(r @ rho), last_ad=ad)
 
 
 def sufficient_decrease(f_next: float, f_curr: float, v_curr, c: float) -> bool:

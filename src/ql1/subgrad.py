@@ -15,8 +15,6 @@ IEEE sign of a zero never changes any output.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 
@@ -83,53 +81,72 @@ def gradient_balance(release: np.ndarray, support_map: np.ndarray) -> bool:
     return float(release @ release) <= float(support_map @ support_map)
 
 
+class _once:
+    """A part computed on first access and stored on the instance.
+
+    Like ``functools.cached_property``, without the lock that Python 3.11's
+    takes on every first access.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class SubgradientSplit:
     """The decomposition at one point, each part computed on first use.
 
     The solvers' path: x and g are unchecked float64 vectors of one shape.
     Each part equals the function of the same name bit for bit. The parts
     on the zeros and on the support are disjoint, so ``min_norm`` is
-    ``release + support`` exactly and ``vnorm`` is its inf-norm.
+    ``release + support`` exactly and ``vnorm`` is its inf-norm: |g| - tau
+    on the zeros (where it is positive) and |g + tau*sign(x)| on the support.
     """
 
     def __init__(self, x: np.ndarray, g: np.ndarray, tau: float, alpha: float):
         self.x, self.g, self.tau, self.alpha = x, g, tau, alpha
 
-    @cached_property
+    @_once
     def zero(self) -> np.ndarray:
         return self.x == 0.0
 
-    @cached_property
+    @_once
     def release(self) -> np.ndarray:
         out = soft_threshold(self.g, self.tau)
         out[~self.zero] = 0.0
         return out
 
-    @cached_property
+    @_once
     def support(self) -> np.ndarray:
         out = self.g + self.tau * np.sign(self.x)
         out[self.zero] = 0.0
         return out
 
-    @cached_property
+    @_once
     def support_map(self) -> np.ndarray:
         alpha = self.alpha
         out = (self.x - soft_threshold(self.x - alpha * self.g, alpha * self.tau)) / alpha
         out[self.zero] = 0.0
         return out
 
-    @cached_property
+    @_once
     def min_norm(self) -> np.ndarray:
         return self.release + self.support
 
-    @cached_property
+    @_once
     def balanced(self) -> bool:
         return float(self.release @ self.release) <= float(self.support_map @ self.support_map)
 
-    @cached_property
+    @_once
     def vnorm(self) -> float:
-        return float(np.maximum(np.abs(self.release).max(initial=0.0),
-                                np.abs(self.support).max(initial=0.0)))
+        # sign(x) is 0 on the zeros, so there the sum is |g|
+        mag = np.abs(self.g + self.tau * np.sign(self.x))
+        return float(np.where(self.zero, mag - self.tau, mag).max(initial=0.0))
 
 
 def split_subgradient(x, g, tau: float, alpha: float) -> SubgradientSplit:

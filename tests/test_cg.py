@@ -11,10 +11,18 @@ from ql1.cg import (
     cutback,
     cutback_alpha,
     init_cg_cycle,
-    orthant_model_value,
     sufficient_decrease,
 )
 from ql1.problem import DenseOperator, QuadraticProblem
+
+
+def orthant_model_value(x, anchor, ax, b, tau: float) -> float:
+    """Model value 1/2 x'(Ax) + (-b + tau*sign(anchor))'x; Ax supplied, no products.
+
+    Equals F(x) whenever sign(x) matches sign(anchor).
+    """
+    shifted = -np.asarray(b, dtype=np.float64) + tau * np.sign(anchor)
+    return 0.5 * float(x @ ax) + float(shifted @ x)
 
 
 def test_init_empty_support():

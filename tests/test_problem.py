@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ql1 import problem as problem_mod
 from ql1.problem import DenseOperator, FactoredOperator, QuadraticProblem
 
 
@@ -42,6 +45,59 @@ def test_mv_count_increments_by_one_per_apply():
     for k in range(1, 6):
         op.apply(v)
         assert op.mv_count == k
+
+
+def _one_shot(b_mat, gamma, v):
+    return b_mat.T @ (b_mat @ v) + (2.0 * gamma) * v
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), rows=st.integers(1, 42),
+       gamma=st.sampled_from([0.0, 1e-3, 0.5, 7.0]), seed=st.integers(0, 2**32 - 1))
+@example(m=7, n=5, rows=1, gamma=0.5, seed=0)   # one row per block
+@example(m=7, n=5, rows=3, gamma=0.5, seed=0)   # a final partial block
+@example(m=7, n=5, rows=7, gamma=0.5, seed=0)   # exactly one block
+def test_blocked_factored_product(m, n, rows, gamma, seed):
+    rng = np.random.default_rng(seed)
+    b_mat = rng.standard_normal((m, n))
+    v = rng.standard_normal(n)
+    op = FactoredOperator(b_mat, gamma)
+    with pytest.MonkeyPatch.context() as mp:
+        # every B takes the blocked path, in blocks of `rows` rows
+        mp.setattr(problem_mod, "L2_BYTES", 0)
+        mp.setattr(problem_mod, "BLOCK_BYTES", rows * b_mat.strides[0])
+        first = op.apply(v)
+        assert op.mv_count == 1
+        kept = first.copy()
+        second = op.apply(v)
+        assert op.mv_count == 2
+    want = _one_shot(b_mat, gamma, v)
+    if rows >= m:
+        assert np.array_equal(first, want)
+    scale = (np.abs(b_mat).T @ (np.abs(b_mat) @ np.abs(v)) + 2.0 * gamma * np.abs(v)).max()
+    assert np.abs(first - want).max() <= 1e-13 * scale
+    # each apply returns a fresh array that the next apply leaves alone
+    assert np.array_equal(first, kept) and np.array_equal(second, first)
+    for other in (second, v, b_mat):
+        assert not np.shares_memory(first, other)
+
+
+def test_blocked_product_thresholds():
+    # At 2 MiB B keeps the one-shot product bit for bit; one row more is
+    # applied in blocks of 1 MiB (128 rows of 1024 columns).
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(1024)
+    b_mat = rng.standard_normal((257, 1024))
+    assert b_mat[:256].nbytes == problem_mod.L2_BYTES == 2 * problem_mod.BLOCK_BYTES
+    at_l2 = np.ascontiguousarray(b_mat[:256])
+    assert np.array_equal(FactoredOperator(at_l2, 0.5).apply(v), _one_shot(at_l2, 0.5, v))
+    want = 1.0 * v
+    for blk in (b_mat[:128], b_mat[128:256], b_mat[256:]):
+        want += (blk @ v) @ blk
+    assert np.array_equal(FactoredOperator(b_mat, 0.5).apply(v), want)
+    # a B that is not C-contiguous keeps the one-shot product
+    b_f = np.asfortranarray(b_mat)
+    assert np.array_equal(FactoredOperator(b_f, 0.5).apply(v), _one_shot(b_f, 0.5, v))
 
 
 def test_apply_dimension_mismatch():
