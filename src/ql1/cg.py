@@ -39,13 +39,11 @@ class CurvatureBreak(Exception):
 class CGState:
     x: np.ndarray          # current iterate; zero wherever the anchor is zero
     r: np.ndarray          # Ax - b + tau*sign(anchor), maintained by recurrence
-    rho: np.ndarray        # r projected onto the free subspace
     d: np.ndarray          # search direction, supported on the free subspace
     anchor_sign: np.ndarray  # sign of the point where the cycle started
     free: np.ndarray       # anchor != 0: the subspace the cycle moves in
     shift: np.ndarray      # tau*sign(anchor), so that r = Ax - b + shift
-    rho_dot: float         # cached r'rho = ||rho||^2
-    last_ad: np.ndarray | None = None   # A d of the step that produced this state
+    rho_dot: float         # ||rho||^2 for rho, r projected onto the free subspace
 
     def smooth_grad(self) -> np.ndarray:
         """Gradient Ax - b at the current iterate, from the cached residual."""
@@ -57,8 +55,11 @@ class CGState:
 
 
 def init_cg_cycle(x, g, tau: float) -> CGState:
-    """Start a cycle at x with smooth gradient g = Ax - b already known."""
-    x = np.asarray(x, dtype=np.float64).copy()
+    """Start a cycle at x with smooth gradient g = Ax - b already known.
+
+    The state holds x itself, not a copy: no step writes to an iterate.
+    """
+    x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     sign = np.sign(x)
     shift = tau * sign
@@ -68,7 +69,6 @@ def init_cg_cycle(x, g, tau: float) -> CGState:
     return CGState(
         x=x,
         r=r,
-        rho=rho,
         d=-rho,
         anchor_sign=sign,
         free=free,
@@ -80,9 +80,10 @@ def init_cg_cycle(x, g, tau: float) -> CGState:
 def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     """One projected CG step; costs exactly one matrix-vector product.
 
-    Returns ``(s_next, crossed)`` where ``crossed`` is True when the new
-    iterate's sign pattern differs from the anchor's anywhere (a
-    coordinate landing exactly at zero counts as a sign change).
+    Returns ``(s_next, ad, crossed)``: ``ad`` is the product A d the step
+    paid for, and ``crossed`` is True when the new iterate's sign pattern
+    differs from the anchor's anywhere (a coordinate landing exactly at
+    zero counts as a sign change).
     Raises :class:`CurvatureBreak` when d'Ad <= curv_tol * ||d||^2.
     """
     ad = op.apply(s.d)
@@ -98,9 +99,9 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     beta = rho_dot_new / s.rho_dot
     d_new = -rho_new + beta * s.d
     crossed = bool(np.any(np.sign(x_new) != s.anchor_sign))
-    s_next = CGState(x=x_new, r=r_new, rho=rho_new, d=d_new, anchor_sign=s.anchor_sign,
-                     free=s.free, shift=s.shift, rho_dot=rho_dot_new, last_ad=ad)
-    return s_next, crossed
+    s_next = CGState(x=x_new, r=r_new, d=d_new, anchor_sign=s.anchor_sign,
+                     free=s.free, shift=s.shift, rho_dot=rho_dot_new)
+    return s_next, ad, crossed
 
 
 def cutback_alpha(x_k, anchor_sign, d) -> tuple[float, np.ndarray, bool]:
@@ -135,20 +136,21 @@ def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> 
     ``s`` is the state the step started from, ``ad`` its product A d and
     ``cut`` the result of :func:`cutback_alpha`. If s.x lies on the
     anchor's orthant, the new point is s.x + alpha_b*d with the
-    boundary-hitting coordinates snapped to exactly 0.0; otherwise s.x is
-    kept. The residual becomes s.r + alpha_b*ad, so the returned state's
-    ``smooth_grad`` and ``objective`` cost no further products.
+    boundary-hitting coordinates snapped to exactly 0.0; otherwise the
+    state holds s.x itself. The residual becomes s.r + alpha_b*ad, so the
+    returned state's ``smooth_grad`` and ``objective`` cost no further
+    products.
     """
     alpha_b, snap, moved = cut
     if moved:
         x = s.x + alpha_b * s.d
         x[snap] = 0.0
     else:
-        x = s.x.copy()
+        x = s.x
     r = s.r + alpha_b * ad
     rho = np.where(s.free, r, 0.0)
-    return CGState(x=x, r=r, rho=rho, d=s.d, anchor_sign=s.anchor_sign, free=s.free,
-                   shift=s.shift, rho_dot=float(r @ rho), last_ad=ad)
+    return CGState(x=x, r=r, d=s.d, anchor_sign=s.anchor_sign, free=s.free,
+                   shift=s.shift, rho_dot=float(r @ rho))
 
 
 def sufficient_decrease(f_next: float, f_curr: float, v_curr, c: float) -> bool:

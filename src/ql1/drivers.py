@@ -210,7 +210,11 @@ def estimate_max_eig(op: CountingOperator) -> float:
 
 
 class _Run:
-    """Bookkeeping shared by the solver loops: records, stop tests, best point."""
+    """Bookkeeping shared by the solver loops: records, stop tests, best point.
+
+    It keeps the recorded iterates themselves, not copies: the loops never
+    write to an iterate once it is recorded.
+    """
 
     def __init__(self, problem: QuadraticProblem, cfg: SolverConfig):
         self.problem = problem
@@ -240,8 +244,7 @@ class _Run:
         self.f0 = f0
         self.v0_norm = split.vnorm
         self.best_f = f0
-        self.best_x = x0.copy()
-        self.last_x = x0.copy()
+        self.best_x = self.last_x = x0
         self._stall_f = f0
         self._stall_mv = self.mv
         self.record(x0, f0, None, split)
@@ -261,10 +264,10 @@ class _Run:
                 TraceRecord(mv=self.mv, k=self.k, f=f, nnz=int(np.count_nonzero(x)), step=step)
             )
             if self.xs is not None:
-                self.xs.append(x.copy())
+                self.xs.append(x)
             if f < self.best_f:
                 self.best_f = f
-                self.best_x = x.copy()
+                self.best_x = x
             self.last_x = x
         if not np.isfinite(f):
             self.status = STATUS_UNBOUNDED
@@ -363,27 +366,24 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
         if run.record(x, f, step_name, sp) or cfg.algorithm == "istabb":
             continue
 
-        # Subspace CG cycle anchored at the fresh first-order point. The
-        # cycle's gradient r - tau*sign(x) can differ from g in the last
-        # bit, so the anchor gets a split of its own.
+        # Subspace CG cycle anchored at the fresh first-order point
         st = init_cg_cycle(x, g, tau)
-        cur = split_subgradient(st.x, st.smooth_grad(), tau, alpha_bal)
-        while cur.balanced and math.sqrt(st.rho_dot) > rho_tol:
+        while sp.balanced and math.sqrt(st.rho_dot) > rho_tol:
             try:
-                st_new, crossed = cg_step(st, op, curv_tol)
+                st_new, ad, crossed = cg_step(st, op, curv_tol)
             except CurvatureBreak as brk:
                 if brk.curvature < -NEG_CURV * l_est:
                     run.status = STATUS_UNBOUNDED
                 break
             f_new = st_new.objective(b, tau)
             x_prev, g_prev = x, g
-            if crossed and not sufficient_decrease(f_new, f, cur.min_norm, cfg.c):
-                st = cutback(st, st_new.last_ad, cutback_alpha(st.x, st.anchor_sign, st.d))
+            if crossed and not sufficient_decrease(f_new, f, sp.min_norm, cfg.c):
+                st = cutback(st, ad, cutback_alpha(st.x, st.anchor_sign, st.d))
                 f_new, step_name = st.objective(b, tau), STEP_CUTBACK
             else:
                 st, step_name = st_new, STEP_CG
             x, g, f = st.x, st.smooth_grad(), f_new
-            sp = cur = split_subgradient(x, g, tau, alpha_bal)
+            sp = split_subgradient(x, g, tau, alpha_bal)
             if run.record(x, f, step_name, sp) or step_name == STEP_CUTBACK:
                 break
 

@@ -59,7 +59,6 @@ class BBStepResult:
     x: np.ndarray
     g: np.ndarray
     f: float
-    alpha_used: float
     fallback: bool
     trials: int
 
@@ -149,7 +148,6 @@ def bb_ls_step(
         x=x_trial,
         g=ax_trial - problem.b,
         f=f_trial,
-        alpha_used=alpha,
         fallback=fallback,
         trials=trials,
     )

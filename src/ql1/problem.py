@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# A factored B larger than L2_BYTES is applied in row blocks of at most
-# BLOCK_BYTES, so that each block is read from memory once per product: the
-# block's B_blk @ v, then y_blk @ B_blk while the block is still in cache.
-# A B that fits in L2 keeps the one-shot product, whose rounding differs.
-L2_BYTES = 2 * 1024 * 1024
+# A factored B is applied in row blocks of at most BLOCK_BYTES, so that each
+# block is read from memory once per product: the block's B_blk @ v, then
+# y_blk @ B_blk while the block is still in cache.
 BLOCK_BYTES = 1024 * 1024
 
 
@@ -104,9 +102,9 @@ class DenseOperator(CountingOperator):
 class FactoredOperator(CountingOperator):
     """A represented implicitly as B'B + 2*gamma*I for an m-by-n B.
 
-    One ``apply`` performs two rectangular products (per row block, for a
-    B above ``L2_BYTES``) but still counts as a single matrix-vector
-    product: the work metric counts applications of A, not BLAS calls.
+    One ``apply`` performs two rectangular products per row block of B
+    but still counts as a single matrix-vector product: the work metric
+    counts applications of A, not BLAS calls.
     """
 
     kind = "factored"
@@ -121,7 +119,7 @@ class FactoredOperator(CountingOperator):
         if not np.isfinite(gamma) or gamma < 0:
             raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
         super().__init__(b_mat.shape[1])
-        self.b_mat = b_mat
+        self.b_mat = np.ascontiguousarray(b_mat)
         self.gamma = gamma
 
     @property
@@ -130,10 +128,8 @@ class FactoredOperator(CountingOperator):
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
         b_mat = self.b_mat
-        if b_mat.nbytes <= L2_BYTES or not b_mat.flags.c_contiguous:
-            return b_mat.T @ (b_mat @ v) + (2.0 * self.gamma) * v
         out = (2.0 * self.gamma) * v
-        rows = max(1, BLOCK_BYTES // b_mat.strides[0])
+        rows = max(1, BLOCK_BYTES // max(1, b_mat.itemsize * self.n))
         for start in range(0, b_mat.shape[0], rows):
             blk = b_mat[start:start + rows]
             out += (blk @ v) @ blk

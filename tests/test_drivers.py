@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ql1.drivers as drivers_mod
 from ql1.drivers import (
     STATUS_BUDGET,
     STATUS_CONVERGED,
@@ -316,6 +317,28 @@ def test_iicg_variants_coincide_after_identification():
         assert ra.f == rb.f and ra.mv == rb.mv
         g = a @ tr1.xs[ra.k - 1] - p.b
         assert np.abs(release_grad(tr1.xs[ra.k - 1], g, p.tau)).max() == 0.0
+
+
+@pytest.mark.parametrize("algorithm", ALGOS)
+def test_one_split_per_accepted_point(algorithm, monkeypatch):
+    # the start point and each recorded step get one subgradient split
+    # each; a CG cycle's anchor reuses the split of its first-order step
+    split = drivers_mod.split_subgradient
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(drivers_mod, "split_subgradient", counted)
+    p = gen_elastic_net(60, 100, 10.0, 0.1, 5.0, seed=3).problem
+    tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-6))
+    assert tr.status == STATUS_CONVERGED
+    assert len(built) == len(tr.records) + 1
+    steps = [rec.step for rec in tr.records]
+    cycles = sum(a not in ("CG", "CUTBACK") and b in ("CG", "CUTBACK")
+                 for a, b in zip(steps, steps[1:]))
+    assert cycles >= 3 if algorithm.startswith("iicg") else cycles == 0
 
 
 def test_reference_objective_close_to_known_solution():

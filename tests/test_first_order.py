@@ -204,8 +204,11 @@ def test_bb_ls_accepted_steps_satisfy_nonmonotone_bound():
         ref = max(window)
         res = bb_ls_step(p, x, g, x_prev, g_prev, ista_step, window, 1.0 / big_l, 1000)
         if not res.fallback:
+            # the BB steplength, halved once per rejected trial
+            a = bb_stepsize(x, x_prev, g, g_prev, 1.0 / big_l) / 2.0 ** (res.trials - 1)
+            assert np.array_equal(res.x, ista_step(x, g, p.tau, a))
             diff = x - res.x
-            assert res.f <= ref - (res.alpha_used / 2) * LS_XI * float(diff @ diff) + 1e-12
+            assert res.f <= ref - (a / 2) * LS_XI * float(diff @ diff) + 1e-12
         x_prev, g_prev = x, g
         x, g = res.x, res.g
 
@@ -240,7 +243,7 @@ def test_bb_ls_fallback_after_max_halvings():
         mv_left=1000,
     )
     assert res.fallback
-    assert res.alpha_used == 0.125
+    assert np.array_equal(res.x, ista_step(np.array([1.0]), np.array([-2.0]), 0.0, 0.125))
     assert res.trials == LS_MAX_HALVINGS + 1 == 61
     assert p.op.mv_count == res.trials
     # the fallback value still enters the window
@@ -255,7 +258,7 @@ def test_bb_ls_stops_at_mv_left():
                      fallback_alpha=0.125, mv_left=3)
     assert res.trials == p.op.mv_count == 3
     assert not res.fallback
-    assert res.alpha_used == 0.125 / 4
+    assert np.array_equal(res.x, ista_step(np.array([1.0]), np.array([-2.0]), 0.0, 0.125 / 4))
     with pytest.raises(ValueError):
         bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, ista_step, window,
                    fallback_alpha=0.125, mv_left=0)

@@ -63,9 +63,8 @@ def test_blocked_factored_product(m, n, rows, gamma, seed):
     v = rng.standard_normal(n)
     op = FactoredOperator(b_mat, gamma)
     with pytest.MonkeyPatch.context() as mp:
-        # every B takes the blocked path, in blocks of `rows` rows
-        mp.setattr(problem_mod, "L2_BYTES", 0)
-        mp.setattr(problem_mod, "BLOCK_BYTES", rows * b_mat.strides[0])
+        # blocks of `rows` rows
+        mp.setattr(problem_mod, "BLOCK_BYTES", rows * 8 * n)
         first = op.apply(v)
         assert op.mv_count == 1
         kept = first.copy()
@@ -83,21 +82,25 @@ def test_blocked_factored_product(m, n, rows, gamma, seed):
 
 
 def test_blocked_product_thresholds():
-    # At 2 MiB B keeps the one-shot product bit for bit; one row more is
-    # applied in blocks of 1 MiB (128 rows of 1024 columns).
+    # Every B is applied in row blocks of at most 1 MiB: 128 rows of 1024 columns.
     rng = np.random.default_rng(11)
     v = rng.standard_normal(1024)
-    b_mat = rng.standard_normal((257, 1024))
-    assert b_mat[:256].nbytes == problem_mod.L2_BYTES == 2 * problem_mod.BLOCK_BYTES
-    at_l2 = np.ascontiguousarray(b_mat[:256])
-    assert np.array_equal(FactoredOperator(at_l2, 0.5).apply(v), _one_shot(at_l2, 0.5, v))
+    b_mat = rng.standard_normal((256, 1024))
+    assert b_mat[:128].nbytes == problem_mod.BLOCK_BYTES
+    one = np.ascontiguousarray(b_mat[:128])
+    assert np.array_equal(FactoredOperator(one, 0.5).apply(v), _one_shot(one, 0.5, v))
     want = 1.0 * v
-    for blk in (b_mat[:128], b_mat[128:256], b_mat[256:]):
+    for blk in (b_mat[:128], b_mat[128:]):
         want += (blk @ v) @ blk
     assert np.array_equal(FactoredOperator(b_mat, 0.5).apply(v), want)
-    # a B that is not C-contiguous keeps the one-shot product
-    b_f = np.asfortranarray(b_mat)
-    assert np.array_equal(FactoredOperator(b_f, 0.5).apply(v), _one_shot(b_f, 0.5, v))
+    # the operator stores B C-ordered, so the memory order of its input does not matter
+    for other in (np.asfortranarray(b_mat), np.ascontiguousarray(b_mat[::-1])[::-1]):
+        assert not other.flags.c_contiguous
+        assert np.array_equal(FactoredOperator(other, 0.5).apply(v), want)
+    # an empty B adds nothing to 2*gamma*v
+    assert np.array_equal(FactoredOperator(np.zeros((0, 3)), 0.5).apply([1.0, 2.0, 3.0]),
+                          [1.0, 2.0, 3.0])
+    assert FactoredOperator(np.zeros((4, 0)), 0.5).apply(np.zeros(0)).shape == (0,)
 
 
 def test_apply_dimension_mismatch():
