@@ -9,7 +9,6 @@ target) follow the dash convention in CSV output.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 import warnings
@@ -25,7 +24,7 @@ from ql1.drivers import (
     reference_objective,
     solve,
 )
-from ql1.fileio import ManifestRow, read_csv, read_problem
+from ql1.fileio import ManifestRow, read_csv, read_problem, write_csv
 
 
 @dataclass
@@ -206,21 +205,9 @@ def alpha_sweep_detail(
 
 
 def write_bench_csv(path, results: list[BenchResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["problem", "solver", "tol", "mv", "seconds", "accuracy", "status"])
-        for r in results:
-            writer.writerow(
-                [
-                    r.problem,
-                    r.solver,
-                    f"{r.tol:g}",
-                    r.mv if r.mv is not None else "-",
-                    f"{r.seconds:.6f}",
-                    f"{r.final_accuracy:.6e}",
-                    r.status,
-                ]
-            )
+    write_csv(path, ["problem", "solver", "tol", "mv", "seconds", "accuracy", "status"],
+              ([r.problem, r.solver, f"{r.tol:g}", r.mv if r.mv is not None else "-",
+                f"{r.seconds:.6f}", f"{r.final_accuracy:.6e}", r.status] for r in results))
 
 
 def read_bench_csv(path) -> list[BenchResult]:
@@ -241,24 +228,14 @@ def read_bench_csv(path) -> list[BenchResult]:
 
 
 def write_profile_csv(path, points: list[ProfilePoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "log2_theta", "rho"])
-        for p in points:
-            writer.writerow([p.solver, f"{p.log2_theta:.10g}", f"{p.rho:.10g}"])
+    write_csv(path, ["solver", "log2_theta", "rho"],
+              ([p.solver, f"{p.log2_theta:.10g}", f"{p.rho:.10g}"] for p in points))
 
 
 def write_pareto_csv(path, frontier: list[tuple[float, int]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["accuracy", "nnz"])
-        for acc, nnz in frontier:
-            writer.writerow([f"{acc:.17g}", nnz])
+    write_csv(path, ["accuracy", "nnz"], ([f"{acc:.17g}", nnz] for acc, nnz in frontier))
 
 
 def write_sweep_csv(path, table: list[tuple[float, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["factor", "mean_inflation"])
-        for factor, infl in table:
-            writer.writerow([f"{factor:g}", f"{infl:.10g}"])
+    write_csv(path, ["factor", "mean_inflation"],
+              ([f"{factor:g}", f"{infl:.10g}"] for factor, infl in table))

@@ -43,7 +43,8 @@ class CGState:
     anchor_sign: np.ndarray  # sign of the point where the cycle started
     free: np.ndarray       # anchor != 0: the subspace the cycle moves in
     shift: np.ndarray      # tau*sign(anchor), so that r = Ax - b + shift
-    rho_dot: float         # ||rho||^2 for rho, r projected onto the free subspace
+    rho_dot: float         # ||rho||^2 for rho, r projected onto the free subspace;
+                           # 0.0 after a cutback, which ends the cycle
 
     def smooth_grad(self) -> np.ndarray:
         """Gradient Ax - b at the current iterate, from the cached residual."""
@@ -84,8 +85,12 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     paid for, and ``crossed`` is True when the new iterate's sign pattern
     differs from the anchor's anywhere (a coordinate landing exactly at
     zero counts as a sign change).
-    Raises :class:`CurvatureBreak` when d'Ad <= curv_tol * ||d||^2.
+    Raises :class:`CurvatureBreak` when d'Ad <= curv_tol * ||d||^2, and
+    ValueError for a state whose cycle has ended (rho_dot 0.0, as after a
+    cutback), before any product is paid for.
     """
+    if s.rho_dot == 0.0:
+        raise ValueError("the cycle has ended: rho_dot is 0.0")
     ad = op.apply(s.d)
     dad = float(s.d @ ad)
     dd = float(s.d @ s.d)
@@ -139,7 +144,7 @@ def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> 
     boundary-hitting coordinates snapped to exactly 0.0; otherwise the
     state holds s.x itself. The residual becomes s.r + alpha_b*ad, so the
     returned state's ``smooth_grad`` and ``objective`` cost no further
-    products.
+    products. A cutback ends the cycle: the state's ``rho_dot`` is 0.0.
     """
     alpha_b, snap, moved = cut
     if moved:
@@ -147,10 +152,8 @@ def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> 
         x[snap] = 0.0
     else:
         x = s.x
-    r = s.r + alpha_b * ad
-    rho = np.where(s.free, r, 0.0)
-    return CGState(x=x, r=r, d=s.d, anchor_sign=s.anchor_sign, free=s.free,
-                   shift=s.shift, rho_dot=float(r @ rho))
+    return CGState(x=x, r=s.r + alpha_b * ad, d=s.d, anchor_sign=s.anchor_sign,
+                   free=s.free, shift=s.shift, rho_dot=0.0)
 
 
 def sufficient_decrease(f_next: float, f_curr: float, v_curr, c: float) -> bool:

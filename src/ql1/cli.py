@@ -2,8 +2,8 @@
 
 Subcommands: gen, solve, fstar, bench, profile, pareto, sweep. All
 outputs are CSV files (or single values on stdout); no plotting. Exit
-codes: 0 on success, 1 when any per-row error occurred, 2 on usage
-errors.
+codes: 0 on success, 1 when any per-row error occurred or a value is out
+of range, 2 on usage errors, among them an empty or unparsable comma list.
 """
 
 from __future__ import annotations
@@ -16,6 +16,31 @@ import numpy as np
 from ql1 import bench as bench_mod
 from ql1 import drivers, probgen
 from ql1.fileio import read_manifest, read_problem, write_problem
+
+
+def _comma_list(convert):
+    """An argparse type: a comma-separated list, each item passed through ``convert``.
+
+    Blank items are skipped. An empty list, or an item that ``convert``
+    rejects with ValueError, is a usage error.
+    """
+
+    def parse(text: str) -> list:
+        items = [item.strip() for item in text.split(",") if item.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        try:
+            return [convert(item) for item in items]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _solver(name: str) -> str:
+    if name not in drivers.ALGORITHMS:
+        raise ValueError(f"unknown solver {name!r}; choose from {', '.join(drivers.ALGORITHMS)}")
+    return name
 
 
 def _add_gen(sub: argparse._SubParsersAction) -> None:
@@ -106,25 +131,20 @@ def _cmd_fstar(args: argparse.Namespace) -> int:
 def _add_bench(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("bench", help="run a benchmark suite from a manifest")
     p.add_argument("manifest")
-    p.add_argument("--solvers", default="iicg1,iicg2,fista,istabb",
+    p.add_argument("--solvers", type=_comma_list(_solver), default="iicg1,iicg2,fista,istabb",
                    help="comma-separated solver names")
-    p.add_argument("--tols", default="1e-4,1e-10", help="comma-separated accuracy targets")
+    p.add_argument("--tols", type=_comma_list(float), default="1e-4,1e-10",
+                   help="comma-separated accuracy targets")
     p.add_argument("--budget", type=int, default=50000)
     p.add_argument("--out", required=True, help="output bench CSV")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
-    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    for s in solvers:
-        if s not in drivers.ALGORITHMS:
-            print(f"error: unknown solver {s!r}", file=sys.stderr)
-            return 2
-    tols = [float(t) for t in args.tols.split(",") if t.strip()]
     configs = [
         drivers.SolverConfig(algorithm=s, tol=t, mv_budget=args.budget)
-        for s in solvers
-        for t in tols
+        for s in args.solvers
+        for t in args.tols
     ]
     results = bench_mod.run_suite(manifest, configs)
     bench_mod.write_bench_csv(args.out, results)
@@ -166,7 +186,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("sweep", help="balance-steplength sensitivity sweep")
     p.add_argument("manifest")
-    p.add_argument("--factors", default="1,10,100", help="comma-separated factors (>= 1)")
+    p.add_argument("--factors", type=_comma_list(float), default="1,10,100",
+                   help="comma-separated factors (>= 1)")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--budget", type=int, default=50000)
     p.add_argument("--out", required=True)
@@ -174,9 +195,8 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
-    factors = [float(f) for f in args.factors.split(",") if f.strip()]
     table = bench_mod.alpha_sweep_detail(
-        manifest, factors, tol=args.tol, mv_budget=args.budget
+        manifest, args.factors, tol=args.tol, mv_budget=args.budget
     ).table
     bench_mod.write_sweep_csv(args.out, table)
     print(f"wrote sweep table ({len(table)} factors) to {args.out}")

@@ -14,7 +14,6 @@ exactly one product.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from ql1.cg import (
     init_cg_cycle,
     sufficient_decrease,
 )
-from ql1.fileio import read_csv
+from ql1.fileio import read_csv, write_csv
 from ql1.first_order import bb_ls_step, ista_step, ls_window, step_curvature, subspace_ista_step
 from ql1.problem import CountingOperator, QuadraticProblem
 from ql1.rng import Rng
@@ -366,9 +365,11 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
         if run.record(x, f, step_name, sp) or cfg.algorithm == "istabb":
             continue
 
-        # Subspace CG cycle anchored at the fresh first-order point
+        # Subspace CG cycle anchored at the fresh first-order point; a
+        # cutback sets rho_dot to 0, which fails the first test since
+        # rho_tol > 0, so the cycle ends without reading sp.balanced
         st = init_cg_cycle(x, g, tau)
-        while sp.balanced and math.sqrt(st.rho_dot) > rho_tol:
+        while math.sqrt(st.rho_dot) > rho_tol and sp.balanced:
             try:
                 st_new, ad, crossed = cg_step(st, op, curv_tol)
             except CurvatureBreak as brk:
@@ -384,7 +385,7 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
                 st, step_name = st_new, STEP_CG
             x, g, f = st.x, st.smooth_grad(), f_new
             sp = split_subgradient(x, g, tau, alpha_bal)
-            if run.record(x, f, step_name, sp) or step_name == STEP_CUTBACK:
+            if run.record(x, f, step_name, sp):
                 break
 
     return run.finish()
@@ -442,11 +443,8 @@ def reference_objective(problem: QuadraticProblem, mv_budget: int = 50000) -> fl
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mv", "k", "F", "nnz", "step"])
-        for rec in trace.records:
-            writer.writerow([rec.mv, rec.k, f"{rec.f:.17g}", rec.nnz, rec.step])
+    write_csv(path, ["mv", "k", "F", "nnz", "step"],
+              ([rec.mv, rec.k, f"{rec.f:.17g}", rec.nnz, rec.step] for rec in trace.records))
 
 
 def read_trace_records(path) -> list[TraceRecord]:

@@ -1,4 +1,4 @@
-"""Problem file format (QL1P) and suite manifest I/O.
+"""Problem file format (QL1P), suite manifest I/O, and the one CSV writer and reader.
 
 QL1P layout, all little-endian:
 
@@ -21,7 +21,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -172,11 +172,16 @@ class ManifestRow:
 
 
 def write_manifest(path, rows: list[ManifestRow]) -> None:
+    write_csv(path, ["problem", "family", "seed", "params", "path"],
+              ([row.problem, row.family, row.seed, row.params, row.path] for row in rows))
+
+
+def write_csv(path, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+    """A header line, then one line per row, in csv's default dialect (CRLF line ends)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["problem", "family", "seed", "params", "path"])
-        for row in rows:
-            writer.writerow([row.problem, row.family, row.seed, row.params, row.path])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_csv(path, columns: dict[str, Callable[[str], Any]]) -> list[dict[str, Any]]:

@@ -2,12 +2,18 @@
 
 For F(x) = f(x) + tau*||x||_1 with smooth gradient g = Ax - b, the
 minimum-norm subgradient v splits into a part living on the zero
-coordinates (``release_grad``: the first-order pressure to release
-variables from zero) and a part on the support (``support_grad``). A
-third vector, ``support_grad_map``, is the steplength-scaled proximal
-displacement of the nonzero coordinates; comparing its norm against the
-release part's norm decides whether a solver should free variables or
-keep optimizing over the current support.
+coordinates (``release``: the first-order pressure to release
+variables from zero) and a part on the support (``support``). A third
+vector, ``support_map``, is the steplength-scaled proximal displacement
+of the nonzero coordinates; comparing its norm against the release
+part's norm decides whether a solver should free variables or keep
+optimizing over the current support.
+
+:class:`SubgradientSplit` computes each part, and is what the solvers
+run. The functions ``release_grad``, ``support_grad``,
+``support_grad_map`` and ``min_norm_subgrad`` are checked views of it:
+they convert and check their arguments, then return the part of a fresh
+split, an array the caller owns.
 
 Zero classification is by numeric equality with 0.0 throughout, so the
 IEEE sign of a zero never changes any output.
@@ -23,61 +29,7 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
-def release_grad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
-    """Subgradient components on the zero coordinates.
-
-    Component i is 0 when x_i != 0, 0 when x_i = 0 and |g_i| <= tau,
-    and g_i - tau*sign(g_i) otherwise. Independent of any steplength.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    out = soft_threshold(g, tau)
-    out[x != 0.0] = 0.0
-    return out
-
-
-def support_grad_map(x: np.ndarray, g: np.ndarray, tau: float, alpha: float) -> np.ndarray:
-    """Scaled proximal displacement of the nonzero coordinates.
-
-    Component i is (x_i - soft_threshold(x_i - alpha*g_i, alpha*tau)) / alpha
-    when x_i != 0, and 0 otherwise.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    target = soft_threshold(x - alpha * g, alpha * tau)
-    out = (x - target) / alpha
-    out[x == 0.0] = 0.0
-    return out
-
-
-def support_grad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
-    """g_i + tau*sign(x_i) on the nonzero coordinates, 0 elsewhere."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    out = g + tau * np.sign(x)
-    out[x == 0.0] = 0.0
-    return out
-
-
-def min_norm_subgrad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
-    """Minimum-norm subgradient of F at x; zero exactly at a minimizer."""
-    return release_grad(x, g, tau) + support_grad(x, g, tau)
-
-
-def gradient_balance(release: np.ndarray, support_map: np.ndarray) -> bool:
-    """True iff ||release||^2 <= ||support_map||^2 (ties count as balanced)."""
-    release = np.asarray(release, dtype=np.float64)
-    support_map = np.asarray(support_map, dtype=np.float64)
-    if release.shape != support_map.shape:
-        raise ValueError(f"shape mismatch: {release.shape} vs {support_map.shape}")
+def _balance(release: np.ndarray, support_map: np.ndarray) -> bool:
     return float(release @ release) <= float(support_map @ support_map)
 
 
@@ -102,10 +54,13 @@ class SubgradientSplit:
     """The decomposition at one point, each part computed on first use.
 
     The solvers' path: x and g are unchecked float64 vectors of one shape.
-    Each part equals the function of the same name bit for bit. The parts
-    on the zeros and on the support are disjoint, so ``min_norm`` is
-    ``release + support`` exactly and ``vnorm`` is its inf-norm: |g| - tau
-    on the zeros (where it is positive) and |g + tau*sign(x)| on the support.
+    On the zeros, ``release`` is 0 where |g_i| <= tau and g_i - tau*sign(g_i)
+    otherwise; it is 0 on the support. On the support, ``support`` is
+    g_i + tau*sign(x_i) and ``support_map`` is
+    (x_i - soft_threshold(x_i - alpha*g_i, alpha*tau)) / alpha; both are 0
+    on the zeros. The two sides are disjoint, so ``min_norm`` is
+    ``release + support`` exactly and ``vnorm`` is its inf-norm. ``balanced``
+    is ||release||^2 <= ||support_map||^2, ties included.
     """
 
     def __init__(self, x: np.ndarray, g: np.ndarray, tau: float, alpha: float):
@@ -140,7 +95,7 @@ class SubgradientSplit:
 
     @_once
     def balanced(self) -> bool:
-        return float(self.release @ self.release) <= float(self.support_map @ self.support_map)
+        return _balance(self.release, self.support_map)
 
     @_once
     def vnorm(self) -> float:
@@ -152,3 +107,43 @@ class SubgradientSplit:
 def split_subgradient(x, g, tau: float, alpha: float) -> SubgradientSplit:
     """The split of the minimum-norm subgradient at x, with steplength alpha."""
     return SubgradientSplit(x, g, tau, alpha)
+
+
+def _checked_split(x, g, tau: float, alpha: float = 1.0) -> SubgradientSplit:
+    """The split at x and g as float64 arrays; ValueError unless their shapes agree."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if x.shape != g.shape:
+        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
+    return split_subgradient(x, g, tau, alpha)
+
+
+def release_grad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+    """Subgradient components on the zero coordinates; independent of any steplength."""
+    return _checked_split(x, g, tau).release
+
+
+def support_grad_map(x: np.ndarray, g: np.ndarray, tau: float, alpha: float) -> np.ndarray:
+    """Scaled proximal displacement of the nonzero coordinates."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return _checked_split(x, g, tau, alpha).support_map
+
+
+def support_grad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+    """g_i + tau*sign(x_i) on the nonzero coordinates, 0 elsewhere."""
+    return _checked_split(x, g, tau).support
+
+
+def min_norm_subgrad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+    """Minimum-norm subgradient of F at x; zero exactly at a minimizer."""
+    return _checked_split(x, g, tau).min_norm
+
+
+def gradient_balance(release: np.ndarray, support_map: np.ndarray) -> bool:
+    """True iff ||release||^2 <= ||support_map||^2 (ties count as balanced)."""
+    release = np.asarray(release, dtype=np.float64)
+    support_map = np.asarray(support_map, dtype=np.float64)
+    if release.shape != support_map.shape:
+        raise ValueError(f"shape mismatch: {release.shape} vs {support_map.shape}")
+    return _balance(release, support_map)

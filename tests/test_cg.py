@@ -180,7 +180,7 @@ def _cut(x_k, anchor, d, ad):
     r = np.zeros_like(x_k)
     s = CGState(
         x=x_k, r=r, d=d, anchor_sign=np.sign(anchor),
-        free=anchor != 0.0, shift=np.zeros_like(x_k), rho_dot=0.0,
+        free=anchor != 0.0, shift=np.zeros_like(x_k), rho_dot=1.0,  # not read by cutback
     )
     return cutback(s, ad, cutback_alpha(x_k, s.anchor_sign, d))
 
@@ -198,6 +198,16 @@ def test_cutback_hand_example():
     assert out.x[0] == 0.0  # snapped exactly
     assert np.array_equal(out.r, [2.0, -1.0])  # r + alpha_b * Ad
     assert np.array_equal(out.anchor_sign, np.sign(x_cg))
+    assert out.rho_dot == 0.0  # a cutback ends the cycle
+
+
+def test_cg_step_refuses_an_ended_cycle():
+    op = DenseOperator(np.diag([2.0, 4.0]))
+    out = _cut([1.0, 2.0], [1.0, 1.0], [-2.0, 1.0], ad=[4.0, -2.0])
+    before = op.mv_count
+    with pytest.raises(ValueError, match="cycle has ended"):
+        cg_step(out, op)
+    assert op.mv_count == before  # refused before the product
 
 
 def test_cutback_matches_scan_oracle():
@@ -278,6 +288,7 @@ def test_cutback_property_on_cycles(cycle):
         except CurvatureBreak:
             break
         c = cutback(s, ad, cutback_alpha(s.x, s.anchor_sign, s.d))
+        assert c.rho_dot == 0.0
         # the point lies on the anchor's closed orthant
         assert np.all(np.sign(c.x) * s.anchor_sign >= 0.0)
         assert np.all(c.x[~s.free] == 0.0)

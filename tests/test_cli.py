@@ -123,10 +123,47 @@ def test_bench_profile_pipeline(tmp_path):
     assert {r["solver"] for r in prows} == {"iicg1", "iicg2"}
 
 
-def test_bench_rejects_unknown_solver(tmp_path):
+def test_bench_rejects_unknown_solver(tmp_path, capsys):
     manifest_path = _small_manifest(tmp_path)
-    assert main(["bench", str(manifest_path), "--solvers", "iicg9",
-                 "--out", str(tmp_path / "x.csv")]) == 2
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bench", str(manifest_path), "--solvers", "iicg9",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc_info.value.code == 2
+    assert "unknown solver 'iicg9'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("bench", "--solvers", ","),
+    ("bench", "--solvers", "iicg2,bogus"),
+    ("bench", "--tols", ","),
+    ("bench", "--tols", "1e-4,abc"),
+    ("sweep", "--factors", ","),
+    ("sweep", "--factors", "1,x"),
+])
+def test_bad_comma_list_is_a_usage_error(tmp_path, capsys, command, option, value):
+    manifest_path = _small_manifest(tmp_path)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, str(manifest_path), option, value, "--out", str(out)])
+    assert exc_info.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("bench", "--tols", "1e-4,-1"),
+    ("bench", "--tols", "nan"),
+    ("sweep", "--factors", "1,0.5"),
+    ("sweep", "--factors", "10,100"),
+])
+def test_comma_list_out_of_range_exits_one(tmp_path, capsys, command, option, value):
+    # the list parses; SolverConfig or the sweep rejects a value in it
+    manifest_path = _small_manifest(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([command, str(manifest_path), option, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_bench_reports_row_errors(tmp_path):

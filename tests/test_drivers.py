@@ -341,6 +341,19 @@ def test_one_split_per_accepted_point(algorithm, monkeypatch):
     assert cycles >= 3 if algorithm.startswith("iicg") else cycles == 0
 
 
+@pytest.mark.parametrize("algorithm", ("iicg1", "iicg2"))
+@pytest.mark.parametrize("policy", ("bb", "constant"))
+def test_a_cutback_ends_its_cycle(algorithm, policy):
+    # the step after a cutback is the next first-order step, or there is none
+    p = gen_elastic_net(60, 100, 10.0, 0.1, 5.0, seed=0).problem
+    tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-8, alpha_policy=policy))
+    steps = [rec.step for rec in tr.records]
+    assert steps.count("CUTBACK") >= 1
+    for step, after in zip(steps, steps[1:] + [None]):
+        if step == "CUTBACK":
+            assert after in (None, "ISTA", "SUBISTA", "LSFALLBACK")
+
+
 def test_reference_objective_close_to_known_solution():
     inst = gen_strict_comp(30, 8, 100.0, 0.4, 0.5, seed=11)
     f_star_true = inst.problem.objective(inst.x_star, ax=inst.problem.op.dense() @ inst.x_star)

@@ -8,10 +8,40 @@ from ql1.subgrad import (
     gradient_balance,
     min_norm_subgrad,
     release_grad,
+    soft_threshold,
     split_subgradient,
     support_grad,
     support_grad_map,
 )
+
+
+# Independent formulas for the split's parts, the oracle that the split
+# and its checked helpers must equal bit for bit.
+def ref_release_grad(x, g, tau):
+    out = soft_threshold(g, tau)
+    out[x != 0.0] = 0.0
+    return out
+
+
+def ref_support_grad_map(x, g, tau, alpha):
+    target = soft_threshold(x - alpha * g, alpha * tau)
+    out = (x - target) / alpha
+    out[x == 0.0] = 0.0
+    return out
+
+
+def ref_support_grad(x, g, tau):
+    out = g + tau * np.sign(x)
+    out[x == 0.0] = 0.0
+    return out
+
+
+def ref_min_norm_subgrad(x, g, tau):
+    return ref_release_grad(x, g, tau) + ref_support_grad(x, g, tau)
+
+
+def ref_gradient_balance(release, support_map):
+    return float(release @ release) <= float(support_map @ support_map)
 
 
 def model_grid_argmin(x, g, tau, alpha, npts=100_001):
@@ -138,7 +168,15 @@ def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         release_grad(np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ValueError):
+        support_grad(np.zeros(3), np.zeros(4), 1.0)
+    with pytest.raises(ValueError):
+        min_norm_subgrad(np.zeros(3), np.zeros(4), 1.0)
+    with pytest.raises(ValueError):
+        support_grad_map(np.zeros(3), np.zeros(4), 1.0, 1.0)
+    with pytest.raises(ValueError):
         support_grad_map(np.zeros(3), np.zeros(3), 1.0, 0.0)
+    with pytest.raises(ValueError):
+        gradient_balance(np.zeros(3), np.zeros(4))
 
 
 @st.composite
@@ -159,12 +197,30 @@ def _split_inputs(draw):
 def test_split_equals_the_reference_helpers_bit_for_bit(inputs):
     x, g, tau, alpha = inputs
     parts = split_subgradient(x, g, tau, alpha)
-    release = release_grad(x, g, tau)
-    support_map = support_grad_map(x, g, tau, alpha)
-    v = min_norm_subgrad(x, g, tau)
-    assert parts.release.tobytes() == release.tobytes()
-    assert parts.support.tobytes() == support_grad(x, g, tau).tobytes()
-    assert parts.support_map.tobytes() == support_map.tobytes()
-    assert parts.min_norm.tobytes() == v.tobytes()
-    assert parts.balanced == gradient_balance(release, support_map)
+    release = ref_release_grad(x, g, tau)
+    support = ref_support_grad(x, g, tau)
+    support_map = ref_support_grad_map(x, g, tau, alpha)
+    v = ref_min_norm_subgrad(x, g, tau)
+    for got, want in ((parts.release, release), (parts.support, support),
+                      (parts.support_map, support_map), (parts.min_norm, v)):
+        assert got.tobytes() == want.tobytes()
+    assert parts.balanced == ref_gradient_balance(release, support_map)
     assert parts.vnorm == float(np.abs(v).max())
+    # the checked helpers return the same bits, from lists as well as arrays
+    xl, gl = list(x), list(g)
+    for got, want in ((release_grad(xl, gl, tau), release), (support_grad(xl, gl, tau), support),
+                      (support_grad_map(xl, gl, tau, alpha), support_map),
+                      (min_norm_subgrad(xl, gl, tau), v)):
+        assert got.tobytes() == want.tobytes()
+    assert gradient_balance(list(release), list(support_map)) == parts.balanced
+
+
+def test_helpers_return_arrays_the_caller_owns():
+    x, g = np.array([0.0, 1.0, -2.0]), np.array([3.0, 0.5, -1.0])
+    before = (x.copy(), g.copy())
+    for out in (release_grad(x, g, 1.0), support_grad(x, g, 1.0),
+                support_grad_map(x, g, 1.0, 0.5), min_norm_subgrad(x, g, 1.0)):
+        assert out.flags.owndata and out.flags.writeable
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, g)
+        out[:] = 7.0
+    assert np.array_equal(x, before[0]) and np.array_equal(g, before[1])
