@@ -66,10 +66,12 @@ STATUS_UNBOUNDED = "unbounded"
 _STALL_EPS = 1e-16
 _STALL_MV = 1000
 
-# Lanczos estimate of the largest eigenvalue: product cap, relative
-# Ritz-value change that stops it, and the beta (relative to the Ritz
+# Lanczos estimates of the largest eigenvalue: the product cap of the safe
+# estimate and of the short one that BB-policy solves take, the relative
+# Ritz-value change that stops either, and the beta (relative to the Ritz
 # value) below which the Krylov space counts as invariant.
 _EIG_MAX_PRODUCTS = 200
+EIG_SHORT_PRODUCTS = 5
 _EIG_RTOL = 1e-5
 _EIG_INVARIANT = 1e-14
 
@@ -86,10 +88,13 @@ class SolverConfig:
     "bb"; ``fista`` accepts only "constant" and ``istabb`` only "bb".
     None is replaced by the default, and any other value raises ValueError.
     The balance test of ``iicg2`` uses the steplength
-    1/(``bal_factor`` * L). ``l_value`` injects an exact largest
-    eigenvalue and skips the Lanczos estimate (theory-check runs).
-    No operator product is started past ``mv_budget`` once the set-up
-    is paid.
+    1/(``bal_factor`` * L). L is the safe Lanczos bound on the largest
+    eigenvalue for "constant" (and FISTA), and a short estimate of
+    ``EIG_SHORT_PRODUCTS`` products for "bb", whose steps need no bound;
+    a "bb" solve pays for the bound only on its first line-search
+    fallback. ``l_value`` injects an exact largest eigenvalue and skips
+    both estimates (theory-check runs). No operator product is started
+    past ``mv_budget`` once the set-up is paid.
     """
 
     algorithm: str = "iicg2"
@@ -145,7 +150,7 @@ class RunTrace:
     mv_setup: int
     f0: float
     v0_norm: float
-    l_est: float
+    l_est: float        # the L it stepped at: a bound, except for a "bb" solve's short estimate
     mv_total: int       # products the solve charged, unrecorded ones included
     xs: list[np.ndarray] | None = None
 
@@ -164,7 +169,7 @@ def accuracy(f_k: float, f_star: float) -> float:
     return (f_k - f_star) / max(abs(f_star), 1e-12)
 
 
-def estimate_max_eig(op: CountingOperator) -> float:
+def estimate_max_eig(op: CountingOperator, max_products: int = _EIG_MAX_PRODUCTS) -> float:
     """Largest-eigenvalue estimate by Lanczos, times a 1.01 safety factor.
 
     Runs the three-term recurrence beta_j v_{j+1} = A v_j - alpha_j v_j
@@ -175,19 +180,26 @@ def estimate_max_eig(op: CountingOperator) -> float:
     the largest eigenvalue from below, faster than power iteration's
     Rayleigh quotient from the same start. The loop stops when the Ritz
     value's relative change is at most 1e-5, when beta_j is zero (the
-    Krylov space is invariant and the value is exact), or after 200
-    products. Every product is charged to the operator's counter. A zero
-    operator, or any nonpositive estimate, yields 1.0 (any steplength is
-    then valid).
+    Krylov space is invariant and the value is exact), or after
+    ``max_products`` products. Every product is charged to the operator's
+    counter. A zero operator, or any nonpositive estimate, yields 1.0
+    (any steplength is then valid).
+
+    It serves two uses. At the default cap of 200 it is the safe
+    estimate, a bound on the largest eigenvalue, at which FISTA and the
+    constant policy step. Capped at ``EIG_SHORT_PRODUCTS`` it is the
+    short estimate of a BB-policy solve, which lies below the largest
+    eigenvalue in general. A capped run takes the same first products
+    and Ritz values as an uncapped one.
     """
     if op.n < 1:
         raise ValueError("operator dimension must be at least 1")
     v = Rng(0).normals(op.n)  # nonzero: its first entry is -0.45
     v /= float(np.linalg.norm(v))
     v_prev = None
-    tri = np.zeros((_EIG_MAX_PRODUCTS + 1, _EIG_MAX_PRODUCTS + 1))
+    tri = np.zeros((max_products + 1, max_products + 1))
     ritz = 0.0
-    for j in range(_EIG_MAX_PRODUCTS):
+    for j in range(max_products):
         w = op.apply(v)
         alpha = float(v @ w)
         w -= alpha * v
@@ -206,6 +218,10 @@ def estimate_max_eig(op: CountingOperator) -> float:
     if ritz <= 0.0:
         return 1.0
     return 1.01 * ritz
+
+
+class _BoundUnpaid(Exception):
+    """The budget cannot pay for the safe estimate of L and one more trial."""
 
 
 class _Run:
@@ -227,6 +243,7 @@ class _Run:
         self.f0 = 0.0
         self.v0_norm = 0.0
         self.l_est = 1.0
+        self.l_bound: float | None = None
         self.best_f = np.inf
         self.best_x: np.ndarray | None = None
         self.last_x: np.ndarray | None = None
@@ -247,6 +264,23 @@ class _Run:
         self._stall_f = f0
         self._stall_mv = self.mv
         self.record(x0, f0, None, split)
+
+    def bound_alpha(self, mv_left: int) -> float:
+        """1/L for the line search's untested fallback, with L a bound.
+
+        A BB solve's L is a short estimate, so its first fallback pays for
+        the safe estimate, spending at most ``mv_left`` products. If it
+        spends them all, none is left for the trial, and
+        :class:`_BoundUnpaid` ends the solve.
+        """
+        if self.l_bound is None:
+            op = self.problem.op
+            mv0 = op.mv_count
+            l_bound = estimate_max_eig(op, min(_EIG_MAX_PRODUCTS, mv_left))
+            if op.mv_count - mv0 >= mv_left:
+                raise _BoundUnpaid
+            self.l_bound = l_bound
+        return 1.0 / self.l_bound
 
     def converged(self, f: float, split: SubgradientSplit) -> bool:
         cfg = self.cfg
@@ -303,7 +337,9 @@ def _setup(problem: QuadraticProblem, cfg: SolverConfig, x0):
     """A run with its L estimate, and the start point with its gradient and F.
 
     The default start x0 = 0 has F(0) = 0 and g(0) = -b with no operator
-    application; an explicit warm start pays one product.
+    application; an explicit warm start pays one product. L is
+    ``cfg.l_value`` if set, else the short estimate for the "bb" policy
+    and the safe one for "constant".
     """
     run = _Run(problem, cfg)
     if x0 is None:
@@ -312,7 +348,12 @@ def _setup(problem: QuadraticProblem, cfg: SolverConfig, x0):
         x = np.asarray(x0, dtype=np.float64).copy()
         ax = problem.op.apply(x)
         g, f = ax - problem.b, problem.objective(x, ax=ax)
-    run.l_est = cfg.l_value if cfg.l_value is not None else estimate_max_eig(problem.op)
+    if cfg.l_value is not None:
+        run.l_est = run.l_bound = cfg.l_value
+    elif cfg.alpha_policy == "bb":
+        run.l_est = estimate_max_eig(problem.op, EIG_SHORT_PRODUCTS)
+    else:
+        run.l_est = run.l_bound = estimate_max_eig(problem.op)
     return run, x, g, f, run.l_est
 
 
@@ -348,9 +389,12 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
         if cfg.alpha_policy == "bb":
             try:
                 res = bb_ls_step(problem, x, g, x_prev, g_prev, stepper, window, alpha_const,
-                                 mv_left)
+                                 mv_left, run.bound_alpha)
             except CurvatureBreak:
                 run.status = STATUS_UNBOUNDED
+                break
+            except _BoundUnpaid:
+                run.status = STATUS_BUDGET
                 break
             x_prev, g_prev = x, g
             x, g, f = res.x, res.g, res.f

@@ -103,6 +103,7 @@ def bb_ls_step(
     window: deque,
     fallback_alpha: float,
     mv_left: int,
+    bound_alpha: Callable[[int], float] | None = None,
 ) -> BBStepResult:
     """One BB step with nonmonotone halving line search.
 
@@ -114,8 +115,11 @@ def bb_ls_step(
         F(x_trial) <= max(window) - (a/2) * LS_XI * ||x - x_trial||^2,
 
     the halved steplength appearing because the halving precedes the
-    test. If LS_MAX_HALVINGS trials all fail, the step falls back to
-    ``fallback_alpha`` and is accepted unconditionally (flagged). The
+    test. ``fallback_alpha`` is the first trial's steplength where BB
+    gives none (see :func:`bb_stepsize`). If LS_MAX_HALVINGS trials all
+    fail, the step falls back to the steplength ``bound_alpha(n)``
+    (default: ``fallback_alpha``), which may spend products but leaves one
+    of the n left for the trial, and is accepted unconditionally (flagged). The
     accepted F enters the front of ``window`` (see :func:`ls_window`).
     ``mv_left`` (at least 1) caps the number of trials: when it is used
     up, the last trial is returned although the test rejected it. A
@@ -130,7 +134,7 @@ def bb_ls_step(
     while True:
         trials += 1
         if trials > LS_MAX_HALVINGS:
-            alpha = fallback_alpha
+            alpha = fallback_alpha if bound_alpha is None else bound_alpha(mv_left - trials + 1)
             fallback = True
         x_trial = step(x, g, problem.tau, alpha)
         ax_trial = problem.op.apply(x_trial)

@@ -252,14 +252,20 @@ def test_solve_rejects_nan_tol(tmp_path, capsys):
 
 
 def test_solve_prints_f_and_nnz_of_the_same_point(tmp_path, capsys):
-    # a budget stop: final_x is the best point, not the last one
+    # a budget stop: final_x is the best point, not the last one; the
+    # budget is the first past the solve's own set-up at which they differ
     problem = gen_elastic_net(50, 100, 10.0, 0.0, 1.0, seed=3).problem
     prob_path = tmp_path / "p.ql1p"
     write_problem(prob_path, problem)
-    args = ["--algorithm", "istabb", "--tol", "1e-14", "--budget", "18"]
+    setup = solve(problem, SolverConfig(algorithm="istabb", mv_budget=1)).mv_setup
+    for budget in range(setup + 1, setup + 100):
+        trace = solve(problem, SolverConfig(algorithm="istabb", tol=1e-14, mv_budget=budget))
+        if trace.f_final != pytest.approx(trace.f_best, rel=1e-6):
+            break
+    assert trace.status == "budget" and trace.f_final > trace.f_best, budget
+    args = ["--algorithm", "istabb", "--tol", "1e-14", "--budget", str(budget)]
     assert main(["solve", str(prob_path), *args]) == 1
     fields = dict(item.split("=") for item in capsys.readouterr().out.split())
-    trace = solve(problem, SolverConfig(algorithm="istabb", tol=1e-14, mv_budget=18))
     assert trace.status == fields["status"] == "budget"
     f_final_x = problem.objective(trace.final_x)
     assert trace.f_final != pytest.approx(f_final_x, rel=1e-6)

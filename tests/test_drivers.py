@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import ql1.drivers as drivers_mod
+import ql1.first_order
 from ql1.drivers import (
+    EIG_SHORT_PRODUCTS,
     STATUS_BUDGET,
     STATUS_CONVERGED,
     STATUS_STALLED,
@@ -66,13 +68,27 @@ def test_estimate_max_eig_brackets_lambda_max_on_desk_suite(desk_manifest):
 
 
 def test_estimate_charge_is_the_setup_cost():
-    inst = gen_strict_comp(25, 6, 80.0, 0.4, 0.5, seed=4)
-    before = inst.problem.op.mv_count
-    estimate_max_eig(inst.problem.op)
-    charged = inst.problem.op.mv_count - before
-    for algo in ALGOS:
-        tr = solve(inst.problem, SolverConfig(algorithm=algo, tol=1e-10))
-        assert tr.mv_setup == charged
+    # BB solves pay the short estimate, FISTA and the constant policy the
+    # safe one, and an injected l_value pays nothing
+    problem = gen_strict_comp(25, 6, 80.0, 0.4, 0.5, seed=4).problem
+    op = problem.op
+
+    def charge(*cap):
+        before = op.mv_count
+        estimate_max_eig(op, *cap)
+        return op.mv_count - before
+
+    short, safe = charge(EIG_SHORT_PRODUCTS), charge()
+    assert short == EIG_SHORT_PRODUCTS < safe
+    for algo, policy, charged in (
+        ("iicg1", "bb", short), ("iicg2", "bb", short), ("istabb", "bb", short),
+        ("iicg1", "constant", safe), ("iicg2", "constant", safe), ("fista", "constant", safe),
+    ):
+        tr = solve(problem, SolverConfig(algorithm=algo, tol=1e-10, alpha_policy=policy))
+        assert tr.mv_setup == charged, (algo, policy)
+        tr = solve(problem, SolverConfig(algorithm=algo, tol=1e-10, alpha_policy=policy,
+                                         l_value=tr.l_est))
+        assert tr.mv_setup == 0, (algo, policy)
 
 
 def test_one_dimensional_solution_all_solvers():
@@ -254,6 +270,63 @@ def test_mv_budget_is_a_hard_cap():
             assert tr.mv_total <= budget, (algo, budget)
             assert tr.status == STATUS_BUDGET, (algo, budget)
             assert p.objective(tr.final_x) == pytest.approx(tr.f_best, rel=1e-9)
+
+
+@pytest.mark.parametrize("algorithm", ("iicg1", "iicg2", "istabb"))
+def test_fallback_pays_for_the_safe_bound_once(algorithm, monkeypatch):
+    # a BB solve steps at its short estimate; with no halvings every BB
+    # step falls back, at 1/L of the safe estimate, paid on the first
+    p = gen_elastic_net(50, 100, 10, 0, 1, seed=3).problem
+    alpha_bound = 1.0 / estimate_max_eig(p.op)
+    calls = []
+    estimate, bb_ls_step = drivers_mod.estimate_max_eig, drivers_mod.bb_ls_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return estimate(*args, **kwargs)
+
+    steps = []
+
+    def captured(problem, x, g, x_prev, g_prev, step, *args):
+        res = bb_ls_step(problem, x, g, x_prev, g_prev, step, *args)
+        steps.append((x, g, step, res))
+        return res
+
+    monkeypatch.setattr(drivers_mod, "estimate_max_eig", counted)
+    monkeypatch.setattr(drivers_mod, "bb_ls_step", captured)
+    tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-8))
+    assert tr.status == STATUS_CONVERGED
+    assert "LSFALLBACK" not in [rec.step for rec in tr.records]
+    assert len(calls) == 1
+
+    monkeypatch.setattr(ql1.first_order, "LS_MAX_HALVINGS", 0)
+    calls.clear()
+    steps.clear()
+    before = p.op.mv_count
+    tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-8, mv_budget=400))
+    assert tr.status in (STATUS_CONVERGED, STATUS_BUDGET)
+    assert len(calls) == 2
+    assert tr.mv_total == p.op.mv_count - before
+    assert tr.l_est < 1.0 / alpha_bound
+    fallbacks = [rec for rec in tr.records if rec.step == "LSFALLBACK"]
+    assert len(fallbacks) == len(steps) >= 2
+    for x, g, step, res in steps:
+        assert res.fallback and res.trials == 1
+        assert step is ista_step or algorithm == "iicg2"
+        assert np.array_equal(res.x, step(x, g, p.tau, alpha_bound))
+
+    # no product starts past the budget, also where it runs out inside the
+    # safe estimate: then the solve ends with no step
+    setup = solve(p, SolverConfig(algorithm=algorithm, mv_budget=1)).mv_setup
+    unpaid = 0
+    for budget in range(setup + 1, setup + 100):
+        before = p.op.mv_count
+        tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-14, mv_budget=budget))
+        assert tr.mv_total == p.op.mv_count - before <= budget, budget
+        assert tr.status == STATUS_BUDGET, budget
+        assert p.objective(tr.final_x) == pytest.approx(tr.f_best, rel=1e-9)
+        unpaid += not tr.records
+    assert unpaid >= 1
 
 
 def test_indefinite_operator_is_unbounded():
