@@ -15,6 +15,7 @@ exactly one product.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,9 @@ class SolverConfig:
     ``EIG_SHORT_PRODUCTS`` products for "bb", whose steps need no bound;
     a "bb" solve pays for the bound only on its first line-search
     fallback. ``l_value`` injects an exact largest eigenvalue and skips
-    both estimates (theory-check runs). No operator product is started
-    past ``mv_budget`` once the set-up is paid.
+    both estimates (theory-check runs). ``mv_budget``, an integer of at
+    least 1, is a hard cap: no operator product is started past it once
+    the set-up is paid.
     """
 
     algorithm: str = "iicg2"
@@ -104,7 +106,6 @@ class SolverConfig:
     alpha_policy: str | None = None
     bal_factor: float = 1.0
     mv_budget: int = 50000
-    theory_checks: bool = False
     l_value: float | None = None
 
     def __post_init__(self):
@@ -125,7 +126,9 @@ class SolverConfig:
             ("bal_factor", 0 < self.bal_factor < math.inf, "finite and positive"),
             ("l_value", self.l_value is None or 0 < self.l_value < math.inf, "finite and positive"),
             ("c", 0 <= self.c < math.inf, "finite and nonnegative"),
-            ("mv_budget", self.mv_budget >= 1, "at least 1"),
+            ("mv_budget", isinstance(self.mv_budget, numbers.Integral)
+             and not isinstance(self.mv_budget, bool) and self.mv_budget >= 1,
+             "an integer of at least 1"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -142,7 +145,11 @@ class TraceRecord:
 
 @dataclass
 class RunTrace:
-    """Per-step history of one solve plus its outcome."""
+    """Per-step history of one solve plus its outcome.
+
+    ``f_best`` is F at the best point seen, the start included: the F of
+    ``final_x`` unless the solve converged.
+    """
 
     records: list[TraceRecord]
     final_x: np.ndarray
@@ -152,16 +159,11 @@ class RunTrace:
     v0_norm: float
     l_est: float        # the L it stepped at: a bound, except for a "bb" solve's short estimate
     mv_total: int       # products the solve charged, unrecorded ones included
-    xs: list[np.ndarray] | None = None
+    f_best: float
 
     @property
     def f_final(self) -> float:
         return self.records[-1].f if self.records else self.f0
-
-    @property
-    def f_best(self) -> float:
-        """F at the best point seen, the start included; ``final_x`` unless converged."""
-        return min((self.f0, *(r.f for r in self.records)))
 
 
 def accuracy(f_k: float, f_star: float) -> float:
@@ -225,45 +227,53 @@ class _BoundUnpaid(Exception):
 
 
 class _Run:
-    """Bookkeeping shared by the solver loops: records, stop tests, best point.
+    """A solve's bookkeeping: its start, L, records, stop tests and best point.
+
+    The start is x0 = 0, with F(0) = 0 and g(0) = -b at no product, or a
+    warm start ``x0``, which pays one product; a warm start that is not a
+    finite vector of length n raises ValueError before any product. L is
+    ``cfg.l_value`` if set, else the short estimate for the "bb" policy
+    and the safe one for "constant", and the balance steplength is
+    1/(``bal_factor`` * L). Both are paid before ``mv_setup`` is taken.
+    ``start`` holds the start's x, g, F and split, to which the stop rules
+    have been applied. Every accepted point goes through :meth:`record`,
+    which builds the point's split: the only one the solve builds for it.
 
     It keeps the recorded iterates themselves, not copies: the loops never
     write to an iterate once it is recorded.
     """
 
-    def __init__(self, problem: QuadraticProblem, cfg: SolverConfig):
+    def __init__(self, problem: QuadraticProblem, cfg: SolverConfig, x0):
+        op = problem.op
         self.problem = problem
         self.cfg = cfg
-        self.mv_start = problem.op.mv_count
+        self.mv_start = op.mv_count
+        if x0 is None:
+            x, g, f = np.zeros(problem.n), -problem.b.copy(), 0.0
+        else:
+            x = np.array(x0, dtype=np.float64)
+            if x.shape != (problem.n,) or not np.isfinite(x).all():
+                raise ValueError(f"x0 must be a finite vector of length {problem.n}")
+            ax = op.apply(x)
+            g, f = ax - problem.b, problem.objective(x, ax=ax)
+        if cfg.l_value is not None:
+            self.l_est = self.l_bound = cfg.l_value
+        elif cfg.alpha_policy == "bb":
+            self.l_est, self.l_bound = estimate_max_eig(op, EIG_SHORT_PRODUCTS), None
+        else:
+            self.l_est = self.l_bound = estimate_max_eig(op)
+        self.alpha_bal = 1.0 / (cfg.bal_factor * self.l_est)
+        self.mv_setup = self.mv
         self.records: list[TraceRecord] = []
-        self.xs: list[np.ndarray] | None = [] if cfg.theory_checks else None
-        self.k = 0
         self.status: str | None = None
-        self.mv_setup = 0
-        self.f0 = 0.0
-        self.v0_norm = 0.0
-        self.l_est = 1.0
-        self.l_bound: float | None = None
-        self.best_f = np.inf
-        self.best_x: np.ndarray | None = None
-        self.last_x: np.ndarray | None = None
-        self._stall_f = 0.0
-        self._stall_mv = 0
+        self.f0 = self.best_f = self._stall_f = f
+        self.best_x = self.last_x = x
+        self._stall_mv = self.mv_setup
+        self.start = (x, g, f, self.record(x, g, f, None))
 
     @property
     def mv(self) -> int:
         return self.problem.op.mv_count - self.mv_start
-
-    def begin(self, x0: np.ndarray, f0: float, split: SubgradientSplit) -> None:
-        """Takes the start point and its split, and applies the stop rules to it."""
-        self.mv_setup = self.mv
-        self.f0 = f0
-        self.v0_norm = split.vnorm
-        self.best_f = f0
-        self.best_x = self.last_x = x0
-        self._stall_f = f0
-        self._stall_mv = self.mv
-        self.record(x0, f0, None, split)
 
     def bound_alpha(self, mv_left: int) -> float:
         """1/L for the line search's untested fallback, with L a bound.
@@ -288,16 +298,15 @@ class _Run:
             return accuracy(f, cfg.f_star) <= cfg.tol
         return split.vnorm <= cfg.tol * max(1.0, self.v0_norm)
 
-    def record(self, x: np.ndarray, f: float, step: str | None, split: SubgradientSplit) -> bool:
-        """Records an accepted step (None: the start point, which gets no
-        record) and updates the status; True means the solve is over."""
-        if step is not None:
-            self.k += 1
-            self.records.append(
-                TraceRecord(mv=self.mv, k=self.k, f=f, nnz=int(np.count_nonzero(x)), step=step)
-            )
-            if self.xs is not None:
-                self.xs.append(x)
+    def record(self, x: np.ndarray, g: np.ndarray, f: float, step: str | None) -> SubgradientSplit:
+        """Records an accepted point (None: the start, which gets no record),
+        updates the status (set: the solve is over), and returns the point's split."""
+        split = split_subgradient(x, g, self.problem.tau, self.alpha_bal)
+        if step is None:
+            self.v0_norm = split.vnorm
+        else:
+            self.records.append(TraceRecord(mv=self.mv, k=len(self.records) + 1, f=f,
+                                            nnz=int(np.count_nonzero(x)), step=step))
             if f < self.best_f:
                 self.best_f = f
                 self.best_x = x
@@ -313,7 +322,7 @@ class _Run:
             self.status = STATUS_STALLED
         if self.status is None and self.mv >= self.cfg.mv_budget:
             self.status = STATUS_BUDGET
-        return self.status is not None
+        return split
 
     def finish(self) -> RunTrace:
         if self.status == STATUS_CONVERGED:
@@ -329,46 +338,21 @@ class _Run:
             v0_norm=self.v0_norm,
             l_est=self.l_est,
             mv_total=self.mv,
-            xs=self.xs,
+            f_best=self.best_f,
         )
-
-
-def _setup(problem: QuadraticProblem, cfg: SolverConfig, x0):
-    """A run with its L estimate, and the start point with its gradient and F.
-
-    The default start x0 = 0 has F(0) = 0 and g(0) = -b with no operator
-    application; an explicit warm start pays one product. L is
-    ``cfg.l_value`` if set, else the short estimate for the "bb" policy
-    and the safe one for "constant".
-    """
-    run = _Run(problem, cfg)
-    if x0 is None:
-        x, g, f = np.zeros(problem.n), -problem.b.copy(), 0.0
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        ax = problem.op.apply(x)
-        g, f = ax - problem.b, problem.objective(x, ax=ax)
-    if cfg.l_value is not None:
-        run.l_est = run.l_bound = cfg.l_value
-    elif cfg.alpha_policy == "bb":
-        run.l_est = estimate_max_eig(problem.op, EIG_SHORT_PRODUCTS)
-    else:
-        run.l_est = run.l_bound = estimate_max_eig(problem.op)
-    return run, x, g, f, run.l_est
 
 
 def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
     """The interleaved loop; ``istabb`` runs it with the CG cycle switched off."""
     op, b, tau = problem.op, problem.b, problem.tau
-    run, x, g, f, l_est = _setup(problem, cfg, x0)
+    run = _Run(problem, cfg, x0)
+    # sp, the split at the accepted iterate (x, g), serves iiCG-2's choice
+    # of prox step and the CG cycle's tests
+    x, g, f, sp = run.start
+    l_est = run.l_est
     alpha_const = 1.0 / l_est
-    alpha_bal = 1.0 / (cfg.bal_factor * l_est)
     curv_tol = 1e-14 * l_est
     rho_tol = 1e-14 * (1.0 + float(np.linalg.norm(b)))
-    # sp, the split at the accepted iterate (x, g), serves the stop test,
-    # iiCG-2's choice of prox step and the CG cycle's tests
-    sp = split_subgradient(x, g, tau, alpha_bal)
-    run.begin(x, f, sp)
 
     window = ls_window(f)
     x_prev = g_prev = None
@@ -405,8 +389,8 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
             x = stepper(x, g, tau, alpha_const)
             ax = op.apply(x)
             f, g = problem.objective(x, ax=ax), ax - b
-        sp = split_subgradient(x, g, tau, alpha_bal)
-        if run.record(x, f, step_name, sp) or cfg.algorithm == "istabb":
+        sp = run.record(x, g, f, step_name)
+        if run.status is not None or cfg.algorithm == "istabb":
             continue
 
         # Subspace CG cycle anchored at the fresh first-order point; a
@@ -428,8 +412,8 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
             else:
                 st, step_name = st_new, STEP_CG
             x, g, f = st.x, st.smooth_grad(), f_new
-            sp = split_subgradient(x, g, tau, alpha_bal)
-            if run.record(x, f, step_name, sp):
+            sp = run.record(x, g, f, step_name)
+            if run.status is not None:
                 break
 
     return run.finish()
@@ -437,9 +421,9 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
 
 def _solve_fista(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
     op, b, tau = problem.op, problem.b, problem.tau
-    run, x, g, f, l_est = _setup(problem, cfg, x0)
-    alpha = 1.0 / l_est
-    run.begin(x, f, split_subgradient(x, g, tau, alpha))
+    run = _Run(problem, cfg, x0)
+    x, g, _, _ = run.start
+    alpha = 1.0 / run.l_est
 
     # A y is carried through the momentum recurrence, so each iteration
     # costs the single product A x_new, which also gives the curvature
@@ -465,12 +449,16 @@ def _solve_fista(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTr
         y = x_new + theta * s
         y_ax = (1.0 + theta) * ax_new - theta * ax
         x, ax, t = x_new, ax_new, t_new
-        run.record(x, f_new, STEP_ISTA, split_subgradient(x, g, tau, alpha))
+        run.record(x, g, f_new, STEP_ISTA)
     return run.finish()
 
 
 def solve(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
-    """Run the configured solver from x0 (default: the zero vector)."""
+    """Run the configured solver from x0 (default: the zero vector).
+
+    A warm start ``x0`` pays one product, and one that is not a finite
+    vector of length n raises ValueError before any product.
+    """
     if cfg.algorithm == "fista":
         return _solve_fista(problem, cfg, x0=x0)
     return _solve_iicg(problem, cfg, x0=x0)

@@ -162,14 +162,6 @@ class ManifestRow:
     params: str
     path: str
 
-    def param(self, key: str, default: str | None = None) -> str | None:
-        for item in self.params.split(";"):
-            if "=" in item:
-                k, v = item.split("=", 1)
-                if k == key:
-                    return v
-        return default
-
 
 def write_manifest(path, rows: list[ManifestRow]) -> None:
     write_csv(path, ["problem", "family", "seed", "params", "path"],

@@ -281,7 +281,3 @@ def desk_suite(outdir) -> list[ManifestRow]:
 
     write_manifest(outdir / "manifest.csv", rows)
     return rows
-
-
-def is_spd_row(row: ManifestRow) -> bool:
-    return row.param("spd") == "1"

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import solve_with_iterates
 
 from ql1.bench import (
     BenchResult,
@@ -17,10 +18,10 @@ from ql1.bench import (
     pareto_frontier,
     run_suite,
 )
-from ql1.drivers import SolverConfig, TraceRecord, solve
+from ql1.drivers import SolverConfig, TraceRecord
 from ql1.fileio import read_problem, write_problem
 from ql1.first_order import ista_step
-from ql1.probgen import desk_suite, gen_strict_comp, is_spd_row
+from ql1.probgen import desk_suite, gen_strict_comp
 from ql1.subgrad import min_norm_subgrad, split_subgradient
 
 
@@ -89,11 +90,10 @@ def _theory_runs():
                 alpha_policy="constant",
                 l_value=big_l,
                 c=1.0 / (8.0 * big_l),
-                theory_checks=True,
                 mv_budget=30000,
             )
-            trace = solve(inst.problem, cfg)
-            runs.append((seed, algo, inst, a, lam, big_l, f_star, trace))
+            trace, xs = solve_with_iterates(inst.problem, cfg)
+            runs.append((seed, algo, inst, a, lam, big_l, f_star, trace, xs))
     _THEORY_RUNS = runs
     _THEORY_SECONDS = time.perf_counter() - t_start
     return runs
@@ -101,14 +101,13 @@ def _theory_runs():
 
 def test_criterion_2_lemma_suite():
     failures = []
-    for seed, algo, inst, a, lam, big_l, f_star, trace in _theory_runs():
+    for seed, algo, inst, a, lam, big_l, f_star, trace, xs in _theory_runs():
         p = inst.problem
         alpha = 1.0 / big_l
         beta = 1.0 / (8.0 * big_l)
         if trace.status != "converged":
             failures.append((seed, algo, trace.status))
             continue
-        xs = [np.zeros(p.n)] + trace.xs
         fs = [trace.f0] + [r.f for r in trace.records]
         for i, rec in enumerate(trace.records):
             x_prev = xs[i]
@@ -135,7 +134,7 @@ def test_criterion_2_lemma_suite():
 
 def test_criterion_3_two_step_qlinear_rate():
     failures = []
-    for seed, algo, inst, a, lam, big_l, f_star, trace in _theory_runs():
+    for seed, algo, inst, a, lam, big_l, f_star, trace, _ in _theory_runs():
         beta = 1.0 / (8.0 * big_l)
         rate = 1.0 - lam * beta / 2.0
         fs = [trace.f0] + [r.f for r in trace.records]
@@ -148,7 +147,7 @@ def test_criterion_3_two_step_qlinear_rate():
 def test_criterion_4_work_complexity_bound():
     failures = []
     eps = 1e-6
-    for seed, algo, inst, a, lam, big_l, f_star, trace in _theory_runs():
+    for seed, algo, inst, a, lam, big_l, f_star, trace, _ in _theory_runs():
         beta = 1.0 / (8.0 * big_l)
         gap0 = trace.f0 - f_star
         measured = trace.mv_setup if gap0 <= eps else next(
@@ -183,7 +182,7 @@ def test_criterion_5_finite_identification():
         tol = 1e-10 / max(1.0, v0)
         target_sign = np.sign(inst.x_star)
         for algo in ("iicg1", "iicg2"):
-            trace = solve(p, SolverConfig(algorithm=algo, tol=tol, theory_checks=True))
+            trace, xs = solve_with_iterates(p, SolverConfig(algorithm=algo, tol=tol))
             if trace.status != "converged":
                 failures.append((seed, algo, trace.status))
                 continue
@@ -194,7 +193,7 @@ def test_criterion_5_finite_identification():
             if not np.array_equal(np.sign(trace.final_x), target_sign):
                 failures.append((seed, algo, "final sign pattern"))
             last_phase = []
-            for rec, x in zip(reversed(trace.records), reversed(trace.xs)):
+            for rec, x in zip(reversed(trace.records), reversed(xs[1:])):
                 if rec.step in ("CG", "CUTBACK"):
                     last_phase.append(x)
                 elif last_phase:
@@ -205,6 +204,11 @@ def test_criterion_5_finite_identification():
 
 
 # ---------------------------------------------------------------- criterion 6
+
+
+def _is_spd(row) -> bool:
+    """The manifest row's ``spd=`` parameter: 1 when A is positive definite."""
+    return dict(item.split("=", 1) for item in row.params.split(";"))["spd"] == "1"
 
 
 def test_criterion_6_suite_cross_agreement(desk_manifest, desk_fstars):
@@ -224,7 +228,7 @@ def test_criterion_6_suite_cross_agreement(desk_manifest, desk_fstars):
             if spread > 10 * tol:
                 failures.append((problem, "objective disagreement", spread))
 
-    spd_rows = [row for row in desk_manifest if is_spd_row(row)]
+    spd_rows = [row for row in desk_manifest if _is_spd(row)]
     configs = [SolverConfig(algorithm=s, tol=1e-10) for s in ("iicg1", "iicg2")]
     high = run_suite(spd_rows, configs, f_stars=desk_fstars)
     for r in high:
@@ -239,7 +243,7 @@ def test_criterion_6_suite_cross_agreement(desk_manifest, desk_fstars):
 def test_criterion_7_balance_steplength_sweep(desk_manifest, desk_fstars):
     failures = []
     factors = [1.0, 10.0, 100.0]
-    spd_rows = [row for row in desk_manifest if is_spd_row(row)]
+    spd_rows = [row for row in desk_manifest if _is_spd(row)]
     detail = alpha_sweep_detail(spd_rows, factors, tol=1e-4, f_stars=desk_fstars)
     for factor, by_problem in detail.statuses.items():
         for problem, status in by_problem.items():

@@ -9,19 +9,27 @@ by the default test paths, so these tests keep them working.
 import importlib.util
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import ql1.drivers
 from ql1.cli import build_parser
+from ql1.drivers import SolverConfig
+from ql1.probgen import gen_elastic_net
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_installs_and_uninstalls():
+def _tracer_module():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    return tracer_mod
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer_mod = _tracer_module()
     original = ql1.drivers.cutback_alpha
     tracer = tracer_mod.Tracer()
     tracer.install()
@@ -30,6 +38,38 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert ql1.drivers.cutback_alpha is original
+
+
+def test_traced_names_stay_on_the_call_path():
+    # a loop that called a traced function other than through the name the
+    # tracer wraps would zero that function's metrics without failing
+    tracer_mod = _tracer_module()
+    p = gen_elastic_net(60, 100, 10.0, 0.1, 5.0, seed=0).problem
+    before = p.op.mv_count
+    tracer = tracer_mod.Tracer()
+    tracer.start(tracer_mod.PASS)
+    try:
+        tr = ql1.drivers.solve(p, SolverConfig(algorithm="iicg2", tol=1e-8))
+        steps = [rec.step for rec in tr.records]
+        cycles = sum(a not in ("CG", "CUTBACK") and b in ("CG", "CUTBACK")
+                     for a, b in zip(steps, steps[1:]))
+        assert cycles >= 3 and "CUTBACK" in steps
+        for cfg in (SolverConfig(algorithm="istabb"), SolverConfig(algorithm="fista"),
+                    SolverConfig(algorithm="iicg1", alpha_policy="constant")):
+            ql1.drivers.solve(p, cfg)
+        ql1.drivers.reference_objective(p)
+    finally:
+        tracer.stop()
+    spans = Counter(tracer.names[i] for i in tracer.name_id)
+    for name in ("problem.objective",
+                 "cg.init_cg_cycle", "cg.cg_step", "cg.cutback_alpha", "cg.sufficient_decrease",
+                 "cg.CGState.objective", "cg.CGState.smooth_grad",
+                 "first_order.bb_ls_step", "first_order.ista_step",
+                 "first_order.subspace_ista_step",
+                 "drivers.solve", "drivers.reference_objective", "drivers.estimate_max_eig"):
+        assert spans[name] >= 1, name
+    applies = sum(n for name, n in spans.items() if name.startswith("problem.apply."))
+    assert applies == p.op.mv_count - before >= 1
 
 
 def test_readme_quickstart_runs(capsys):

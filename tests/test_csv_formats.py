@@ -24,7 +24,7 @@ from ql1.fileio import ManifestRow, write_manifest
 _TRACE = RunTrace(
     records=[TraceRecord(3, 1, -1.25, 2, "ISTA"), TraceRecord(5, 2, 0.1, 1, "CUTBACK")],
     final_x=np.zeros(2), status="converged", mv_setup=2, f0=0.0, v0_norm=1.0, l_est=1.0,
-    mv_total=5,
+    mv_total=5, f_best=-1.25,
 )
 
 _CASES = {

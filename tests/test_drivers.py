@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import solve_with_iterates
 
 import ql1.drivers as drivers_mod
 import ql1.first_order
@@ -163,6 +164,22 @@ def test_fista_fixed_point_and_smooth_convergence():
     assert len(tr.records) == 0
 
 
+def test_bad_warm_start_is_rejected_before_any_product():
+    p = QuadraticProblem(DenseOperator(np.diag([2.0, 4.0])), np.ones(2), 0.1)
+    bad = ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], [1.0], [1.0, 2.0, 3.0],
+           [[1.0, 2.0]], 1.0)
+    for algo in ALGOS:
+        for x0 in bad:
+            before = p.op.mv_count
+            with pytest.raises(ValueError, match="^x0 must"):
+                solve(p, SolverConfig(algorithm=algo), x0=x0)
+            assert p.op.mv_count == before, (algo, x0)
+        # a good warm start pays one product beyond the set-up
+        cold = solve(p, SolverConfig(algorithm=algo, mv_budget=1)).mv_setup
+        assert solve(p, SolverConfig(algorithm=algo, mv_budget=1), x0=[0.5, 0.0]).mv_setup == (
+            cold + 1), algo
+
+
 def test_accuracy_values():
     assert accuracy(3.5, 3.5) == 0.0
     assert accuracy(-1.9998, -2.0) == pytest.approx(1e-4)
@@ -243,12 +260,10 @@ def test_bb_policy_nonmonotone_window_bound():
 
 def test_trace_f_matches_direct_objective():
     inst = gen_strict_comp(30, 8, 100.0, 0.4, 0.5, seed=8)
-    tr = solve(
-        inst.problem,
-        SolverConfig(algorithm="iicg2", tol=1e-10, theory_checks=True, mv_budget=20000),
+    tr, xs = solve_with_iterates(
+        inst.problem, SolverConfig(algorithm="iicg2", tol=1e-10, mv_budget=20000)
     )
-    assert tr.xs is not None and len(tr.xs) == len(tr.records)
-    for rec, x in zip(tr.records, tr.xs):
+    for rec, x in zip(tr.records, xs[1:]):
         direct = inst.problem.objective(x, ax=inst.problem.op.dense() @ x)
         assert abs(rec.f - direct) <= 1e-8 * max(1.0, abs(direct))
         assert rec.nnz == int(np.count_nonzero(x))
@@ -362,15 +377,15 @@ def test_iicg_variants_coincide_after_identification():
     inst = gen_strict_comp(50, 12, 50.0, 0.5, 0.5, seed=10)
     p = inst.problem
     big_l = float(np.linalg.eigvalsh(p.op.dense())[-1])
-    probe = solve(
+    probe, probe_xs = solve_with_iterates(
         p,
         SolverConfig(algorithm="iicg2", tol=1e-12, alpha_policy="constant",
-                     l_value=big_l, theory_checks=True, mv_budget=30000),
+                     l_value=big_l, mv_budget=30000),
     )
     assert probe.status == STATUS_CONVERGED
     a = p.op.dense()
     warm = None
-    for x in probe.xs:
+    for x in probe_xs[1:]:
         if not np.array_equal(np.sign(x), np.sign(inst.x_star)):
             continue
         g = a @ x - p.b
@@ -378,18 +393,17 @@ def test_iicg_variants_coincide_after_identification():
             warm = x
             break
     assert warm is not None, "no post-identification iterate found"
-    cfg = dict(tol=1e-12, alpha_policy="constant", l_value=big_l,
-               theory_checks=True, mv_budget=30000)
-    tr1 = solve(p, SolverConfig(algorithm="iicg1", **cfg), x0=warm)
-    tr2 = solve(p, SolverConfig(algorithm="iicg2", **cfg), x0=warm)
+    cfg = dict(tol=1e-12, alpha_policy="constant", l_value=big_l, mv_budget=30000)
+    tr1, xs1 = solve_with_iterates(p, SolverConfig(algorithm="iicg1", **cfg), x0=warm)
+    tr2, xs2 = solve_with_iterates(p, SolverConfig(algorithm="iicg2", **cfg), x0=warm)
     assert tr1.status == tr2.status == STATUS_CONVERGED
     assert len(tr1.records) == len(tr2.records)
-    for xa, xb in zip(tr1.xs, tr2.xs):
+    for xa, xb in zip(xs1[1:], xs2[1:]):
         assert np.array_equal(xa, xb)
     for ra, rb in zip(tr1.records, tr2.records):
         assert ra.f == rb.f and ra.mv == rb.mv
-        g = a @ tr1.xs[ra.k - 1] - p.b
-        assert np.abs(release_grad(tr1.xs[ra.k - 1], g, p.tau)).max() == 0.0
+        g = a @ xs1[ra.k] - p.b
+        assert np.abs(release_grad(xs1[ra.k], g, p.tau)).max() == 0.0
 
 
 @pytest.mark.parametrize("algorithm", ALGOS)
@@ -461,6 +475,7 @@ def test_config_validation():
         dict(bal_factor=0.0), dict(bal_factor=-1.0), dict(bal_factor=nan), dict(bal_factor=inf),
         dict(l_value=0.0), dict(l_value=-2.0), dict(l_value=nan), dict(l_value=inf),
         dict(c=-1e-4), dict(c=nan), dict(c=inf),
+        dict(mv_budget=inf), dict(mv_budget=2.5), dict(mv_budget=True),
     ]
     for kwargs in bad:
         (name,) = kwargs
@@ -468,6 +483,7 @@ def test_config_validation():
             SolverConfig(**kwargs)
     # the boundary values stay valid
     SolverConfig(f_star=-1e300, bal_factor=1e-3, l_value=1e-300, c=0.0, tol=1e300)
+    assert SolverConfig(mv_budget=np.int64(7)).mv_budget == 7
 
 
 def test_alpha_policy_table():
