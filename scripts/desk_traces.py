@@ -16,11 +16,13 @@ solves 14 items on each instance, 672 in all:
 
 For each item it stores the sha256 of the trace records and the
 ``final_x`` bytes, the status, ``mv_total``, ``mv_setup`` and ``f_best``,
-and for each kind of item the products summed over the 48 instances.
+and for each kind of item the products and the records of each step name
+(ISTA, SUBISTA, CG, CUTBACK, LSFALLBACK), summed over the 48 instances.
 
 ``diff A B`` lists every item whose entry differs, then the summed products
-of each kind from A to B. It exits 1 when any item differs, and 0 when
-the two digests agree.
+and step counts of each kind from A to B; a digest written before step
+counts were stored still diffs, without the step table. It exits 1 when
+any item differs, and 0 when the two digests agree.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import hashlib
 import json
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,20 +81,24 @@ def reference_trace(problem) -> RunTrace:
 
 def write(args: argparse.Namespace) -> int:
     items: dict[str, dict] = {}
+    mv = Counter()
+    steps = defaultdict(Counter)
     with tempfile.TemporaryDirectory() as tmp:
         for row in desk_suite(tmp):
             problem = read_problem(row.path)
             ref = reference_trace(problem)
-            items[f"{row.problem} {REFERENCE}"] = digest(ref)
+            traces = {REFERENCE: ref}
             for kind, cfg in KINDS:
                 if "fstar" in kind:
                     cfg = replace(cfg, f_star=ref.f_best)
-                items[f"{row.problem} {kind}"] = digest(drivers.solve(problem, cfg))
+                traces[kind] = drivers.solve(problem, cfg)
+            for kind, trace in traces.items():
+                items[f"{row.problem} {kind}"] = digest(trace)
+                mv[kind] += trace.mv_total
+                steps[kind].update(r.step for r in trace.records)
             print(row.problem, file=sys.stderr, flush=True)
-    mv = Counter()
-    for key, item in items.items():
-        mv[key.split(" ", 1)[1]] += item["mv_total"]
-    Path(args.out).write_text(json.dumps({"items": items, "mv_totals": mv}, indent=1) + "\n")
+    Path(args.out).write_text(
+        json.dumps({"items": items, "mv_totals": mv, "steps": steps}, indent=1) + "\n")
     return 0
 
 
@@ -117,6 +123,13 @@ def diff(args: argparse.Namespace) -> int:
     for kind in a["mv_totals"]:
         ma, mb = a["mv_totals"][kind], b["mv_totals"].get(kind, 0)
         print(f"  {kind:<22} {ma:>8} -> {mb:>8}{'' if ma == mb else '  *'}")
+    if "steps" in a and "steps" in b:
+        print("records of each step summed over the suite, A -> B:")
+        for kind, sa in a["steps"].items():
+            sb = b["steps"].get(kind, {})
+            for name in [*sa, *(name for name in sb if name not in sa)]:
+                ma, mb = sa.get(name, 0), sb.get(name, 0)
+                print(f"  {kind:<22} {name:<10} {ma:>8} -> {mb:>8}{'' if ma == mb else '  *'}")
     return 1 if lines else 0
 
 

@@ -44,7 +44,7 @@ class CGState:
     free: np.ndarray       # anchor != 0: the subspace the cycle moves in
     shift: np.ndarray      # tau*sign(anchor), so that r = Ax - b + shift
     rho_dot: float         # ||rho||^2 for rho, r projected onto the free subspace;
-                           # 0.0 after a cutback, which ends the cycle
+                           # 0.0 after a cutback, which cg_step refuses
 
     def smooth_grad(self) -> np.ndarray:
         """Gradient Ax - b at the current iterate, from the cached residual."""
@@ -144,7 +144,7 @@ def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> 
     boundary-hitting coordinates snapped to exactly 0.0; otherwise the
     state holds s.x itself. The residual becomes s.r + alpha_b*ad, so the
     returned state's ``smooth_grad`` and ``objective`` cost no further
-    products. A cutback ends the cycle: the state's ``rho_dot`` is 0.0.
+    products. Its ``rho_dot`` is 0.0, and :func:`cg_step` refuses such a state.
     """
     alpha_b, snap, moved = cut
     if moved:

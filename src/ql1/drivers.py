@@ -1,10 +1,11 @@
 """Full solver loops, termination policies, and trace recording.
 
-Two loops run the four solvers: the interleaved loop runs ``iicg1``,
-``iicg2`` and, with its CG cycle switched off, ``istabb``; FISTA has its
-own momentum loop. All four share one work metric: every record in a
-trace corresponds to one accepted constitutive step, and its ``mv``
-field is the running matrix-vector-product count (including
+Two loops run the four solvers. The interleaved loop runs ``iicg1``,
+``iicg2`` and, with no CG cycle, ``istabb``: one step per accepted point,
+CG or first-order, chosen from the point's split. FISTA has its own
+momentum loop. All four share one work metric: every record in a trace
+corresponds to one accepted constitutive step, and its ``mv`` field is
+the running matrix-vector-product count (including
 spectral-norm estimation and rejected line-search trials, which consume
 products without producing records). For the interleaved solvers the
 residual recurrence of the CG cycle supplies gradients and objective
@@ -251,9 +252,12 @@ class _Run:
         if x0 is None:
             x, g, f = np.zeros(problem.n), -problem.b.copy(), 0.0
         else:
-            x = np.array(x0, dtype=np.float64)
-            if x.shape != (problem.n,) or not np.isfinite(x).all():
-                raise ValueError(f"x0 must be a finite vector of length {problem.n}")
+            try:
+                x = np.array(x0, dtype=np.float64)
+                if x.shape != (problem.n,) or not np.isfinite(x).all():
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(f"x0 must be a finite vector of length {problem.n}") from None
             ax = op.apply(x)
             g, f = ax - problem.b, problem.objective(x, ax=ax)
         if cfg.l_value is not None:
@@ -343,19 +347,19 @@ class _Run:
 
 
 def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
-    """The interleaved loop; ``istabb`` runs it with the CG cycle switched off."""
+    """The interleaved loop: one CG or first-order step per accepted point."""
     op, b, tau = problem.op, problem.b, problem.tau
     run = _Run(problem, cfg, x0)
     # sp, the split at the accepted iterate (x, g), serves iiCG-2's choice
     # of prox step and the CG cycle's tests
     x, g, f, sp = run.start
-    l_est = run.l_est
-    alpha_const = 1.0 / l_est
-    curv_tol = 1e-14 * l_est
+    alpha_const = 1.0 / run.l_est
+    curv_tol = 1e-14 * run.l_est
     rho_tol = 1e-14 * (1.0 + float(np.linalg.norm(b)))
 
     window = ls_window(f)
-    x_prev = g_prev = None
+    x_prev = g_prev = st = None  # st: the open CG cycle
+    anchor = False               # a first-order step anchors a cycle (not istabb's)
 
     while run.status is None:
         # An unrecorded product (a curvature break) can use up the budget.
@@ -363,59 +367,54 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
         if mv_left < 1:
             run.status = STATUS_BUDGET
             break
-        # First-order phase. iiCG-2 refines the current support when
-        # the balance condition holds and releases variables otherwise;
-        # the others always take the full step.
-        if cfg.algorithm == "iicg2" and sp.balanced:
-            stepper, step_name = subspace_ista_step, STEP_SUBISTA
-        else:
-            stepper, step_name = ista_step, STEP_ISTA
-        if cfg.alpha_policy == "bb":
-            try:
-                res = bb_ls_step(problem, x, g, x_prev, g_prev, stepper, window, alpha_const,
-                                 mv_left, run.bound_alpha)
-            except CurvatureBreak:
-                run.status = STATUS_UNBOUNDED
-                break
-            except _BoundUnpaid:
-                run.status = STATUS_BUDGET
-                break
-            x_prev, g_prev = x, g
-            x, g, f = res.x, res.g, res.f
-            if res.fallback:
-                step_name = STEP_LSFALLBACK
-        else:
-            x_prev, g_prev = x, g
-            x = stepper(x, g, tau, alpha_const)
-            ax = op.apply(x)
-            f, g = problem.objective(x, ax=ax), ax - b
-        sp = run.record(x, g, f, step_name)
-        if run.status is not None or cfg.algorithm == "istabb":
-            continue
-
-        # Subspace CG cycle anchored at the fresh first-order point; a
-        # cutback sets rho_dot to 0, which fails the first test since
-        # rho_tol > 0, so the cycle ends without reading sp.balanced
-        st = init_cg_cycle(x, g, tau)
-        while math.sqrt(st.rho_dot) > rho_tol and sp.balanced:
+        if anchor:
+            st, anchor = init_cg_cycle(x, g, tau), False
+        # CG while a cycle is open and its test holds (rho_dot is read before the
+        # lazy sp.balanced); a curvature break or a cutback closes the cycle
+        if st is not None and math.sqrt(st.rho_dot) > rho_tol and sp.balanced:
             try:
                 st_new, ad, crossed = cg_step(st, op, curv_tol)
             except CurvatureBreak as brk:
-                if brk.curvature < -NEG_CURV * l_est:
+                if brk.curvature < -NEG_CURV * run.l_est:
                     run.status = STATUS_UNBOUNDED
-                break
+                st = None
+                continue
             f_new = st_new.objective(b, tau)
-            x_prev, g_prev = x, g
             if crossed and not sufficient_decrease(f_new, f, sp.min_norm, cfg.c):
-                st = cutback(st, ad, cutback_alpha(st.x, st.anchor_sign, st.d))
-                f_new, step_name = st.objective(b, tau), STEP_CUTBACK
+                st_new = cutback(st, ad, cutback_alpha(st.x, st.anchor_sign, st.d))
+                f_new, step_name, st = st_new.objective(b, tau), STEP_CUTBACK, None
             else:
                 st, step_name = st_new, STEP_CG
-            x, g, f = st.x, st.smooth_grad(), f_new
-            sp = run.record(x, g, f, step_name)
-            if run.status is not None:
-                break
-
+            x_new, g_new = st_new.x, st_new.smooth_grad()
+        else:
+            # iiCG-2 refines the current support when the balance condition
+            # holds and releases variables otherwise; the others always take
+            # the full step.
+            if cfg.algorithm == "iicg2" and sp.balanced:
+                stepper, step_name = subspace_ista_step, STEP_SUBISTA
+            else:
+                stepper, step_name = ista_step, STEP_ISTA
+            if cfg.alpha_policy == "bb":
+                try:
+                    res = bb_ls_step(problem, x, g, x_prev, g_prev, stepper, window, alpha_const,
+                                     mv_left, run.bound_alpha)
+                except CurvatureBreak:
+                    run.status = STATUS_UNBOUNDED
+                    break
+                except _BoundUnpaid:
+                    run.status = STATUS_BUDGET
+                    break
+                x_new, g_new, f_new = res.x, res.g, res.f
+                if res.fallback:
+                    step_name = STEP_LSFALLBACK
+            else:
+                x_new = stepper(x, g, tau, alpha_const)
+                ax = op.apply(x_new)
+                f_new, g_new = problem.objective(x_new, ax=ax), ax - b
+            st, anchor = None, cfg.algorithm != "istabb"
+        x_prev, g_prev = x, g
+        x, g, f = x_new, g_new, f_new
+        sp = run.record(x, g, f, step_name)
     return run.finish()
 
 

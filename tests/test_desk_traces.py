@@ -50,3 +50,47 @@ def test_diff_lists_each_changed_item(tmp_path, capsys):
                        "ens1 reference: records or final_x",
                        "sga1 reference: status converged -> budget; mv_total 10 -> 12"]
     assert out[-1] == "  reference                    30 ->       32  *"
+
+
+def test_diff_prints_step_counts_only_when_both_digests_have_them(tmp_path, capsys):
+    item = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
+    old = {"items": {"ens1 reference": item}, "mv_totals": {"reference": 10}}
+    a = dict(old, steps={"reference": {"ISTA": 3, "CG": 5, "CUTBACK": 1}})
+    b = dict(old, steps={"reference": {"ISTA": 3, "CG": 4, "SUBISTA": 1}})
+    paths = {}
+    for name, digest in (("old", old), ("a", a), ("b", b)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(digest))
+    assert desk_traces.diff(argparse.Namespace(a=paths["a"], b=paths["b"])) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-5:] == [
+        "records of each step summed over the suite, A -> B:",
+        "  reference              ISTA              3 ->        3",
+        "  reference              CG                5 ->        4  *",
+        "  reference              CUTBACK           1 ->        0  *",
+        "  reference              SUBISTA           0 ->        1  *",
+    ]
+    for x, y in (("old", "b"), ("a", "old")):
+        assert desk_traces.diff(argparse.Namespace(a=paths[x], b=paths[y])) == 0
+        out = capsys.readouterr().out
+        assert "records of each step" not in out and out.endswith(
+            "  reference                    10 ->       10\n")
+
+
+def test_write_stores_the_step_counts_of_each_kind(tmp_path, monkeypatch):
+    p = gen_strict_comp(20, 5, 50.0, 0.4, 0.5, seed=12).problem
+    # two instances with the same problem: every sum is twice one solve's
+    rows = [argparse.Namespace(problem=name, path=None) for name in ("sct1", "sct2")]
+    monkeypatch.setattr(desk_traces, "desk_suite", lambda tmp: rows)
+    monkeypatch.setattr(desk_traces, "read_problem", lambda path: p)
+    out = tmp_path / "desk.json"
+    assert desk_traces.write(argparse.Namespace(out=out)) == 0
+    d = json.loads(out.read_text())
+    for kind, cfg in desk_traces.KINDS:
+        if "fstar" not in kind:
+            tr = solve(p, cfg)
+            steps = [rec.step for rec in tr.records]
+            assert d["steps"][kind] == {s: 2 * steps.count(s) for s in set(steps)}, kind
+            assert d["mv_totals"][kind] == 2 * tr.mv_total
+    assert len(d["items"]) == 28
+    assert set(d["steps"]) == {kind for kind, _ in desk_traces.KINDS} | {desk_traces.REFERENCE}

@@ -6,6 +6,7 @@ from conftest import solve_with_iterates
 
 import ql1.drivers as drivers_mod
 import ql1.first_order
+from ql1.cg import CurvatureBreak
 from ql1.drivers import (
     EIG_SHORT_PRODUCTS,
     STATUS_BUDGET,
@@ -167,7 +168,7 @@ def test_fista_fixed_point_and_smooth_convergence():
 def test_bad_warm_start_is_rejected_before_any_product():
     p = QuadraticProblem(DenseOperator(np.diag([2.0, 4.0])), np.ones(2), 0.1)
     bad = ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], [1.0], [1.0, 2.0, 3.0],
-           [[1.0, 2.0]], 1.0)
+           [[1.0, 2.0]], 1.0, [[1.0], [2.0, 3.0]], "ab", {})
     for algo in ALGOS:
         for x0 in bad:
             before = p.op.mv_count
@@ -439,6 +440,39 @@ def test_a_cutback_ends_its_cycle(algorithm, policy):
     for step, after in zip(steps, steps[1:] + [None]):
         if step == "CUTBACK":
             assert after in (None, "ISTA", "SUBISTA", "LSFALLBACK")
+
+
+@pytest.mark.parametrize("algorithm", ("iicg1", "iicg2"))
+@pytest.mark.parametrize("policy", ("bb", "constant"))
+def test_a_curvature_break_on_a_singular_operator_closes_its_cycle(algorithm, policy,
+                                                                   monkeypatch):
+    # At x0 = (1.5, -0.5) the gradient is 0, so a cycle's first direction
+    # is -tau*sign(x0), which lies in the null space of A = [[1, 1], [1, 1]]:
+    # a break at zero curvature, not a negative one. The solve goes on with
+    # a first-order step, and the bb line search falls back on the way.
+    p = QuadraticProblem(DenseOperator(np.ones((2, 2))), np.ones(2), 0.1)
+    step = drivers_mod.cg_step
+    breaks = []
+
+    def watched(st, op, curv_tol):
+        try:
+            return step(st, op, curv_tol)
+        except CurvatureBreak:
+            breaks.append(op.mv_count - before)
+            raise
+
+    monkeypatch.setattr(drivers_mod, "cg_step", watched)
+    before = p.op.mv_count
+    tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-10, alpha_policy=policy),
+               x0=[1.5, -0.5])
+    assert tr.status == STATUS_CONVERGED
+    assert tr.f_final == pytest.approx(-(1 - 0.1) ** 2 / 2, abs=1e-12)
+    assert tr.mv_total == p.op.mv_count - before
+    assert len(breaks) >= 1
+    for mv in breaks:
+        after = next((rec.step for rec in tr.records if rec.mv > mv), None)
+        assert after in ("ISTA", "SUBISTA", "LSFALLBACK"), (mv, after)
+    assert ("LSFALLBACK" in [rec.step for rec in tr.records]) == (policy == "bb")
 
 
 def test_reference_objective_close_to_known_solution():
