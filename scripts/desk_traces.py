@@ -17,12 +17,18 @@ solves 14 items on each instance, 672 in all:
 For each item it stores the sha256 of the trace records and the
 ``final_x`` bytes, the status, ``mv_total``, ``mv_setup`` and ``f_best``,
 and for each kind of item the products and the records of each step name
-(ISTA, SUBISTA, CG, CUTBACK, LSFALLBACK), summed over the 48 instances.
+(ISTA, SUBISTA, CG, CUTBACK, LSFALLBACK), summed over the 48 instances. It
+also stores the host: the Python, numpy and BLAS versions and the CPU count.
+Rounding differs from host to host, so only digests written on one host
+compare item by item.
 
 ``diff A B`` lists every item whose entry differs, then the summed products
-and step counts of each kind from A to B; a digest written before step
-counts were stored still diffs, without the step table. It exits 1 when
-any item differs, and 0 when the two digests agree.
+and step counts of each kind from A to B. When both digests name their
+hosts and these differ, a ``hosts differ:`` line follows the header. A
+digest written before step counts or hosts were stored still diffs, without
+the step table or the host line. It exits 2 when an item's status differs or
+an item is in only one digest, 1 when items differ in anything else, and 0
+when the two digests agree.
 """
 
 from __future__ import annotations
@@ -30,11 +36,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 import tempfile
 from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 import ql1.drivers as drivers
 from ql1.drivers import RunTrace, SolverConfig
@@ -79,6 +89,17 @@ def reference_trace(problem) -> RunTrace:
     return trace
 
 
+def host() -> dict:
+    """What decides a digest's rounding, besides the code: the host's numerics."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict form
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "cpus": os.cpu_count()}
+
+
 def write(args: argparse.Namespace) -> int:
     items: dict[str, dict] = {}
     mv = Counter()
@@ -98,26 +119,34 @@ def write(args: argparse.Namespace) -> int:
                 steps[kind].update(r.step for r in trace.records)
             print(row.problem, file=sys.stderr, flush=True)
     Path(args.out).write_text(
-        json.dumps({"items": items, "mv_totals": mv, "steps": steps}, indent=1) + "\n")
+        json.dumps({"host": host(), "items": items, "mv_totals": mv, "steps": steps},
+                   indent=1) + "\n")
     return 0
 
 
 def diff(args: argparse.Namespace) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (args.a, args.b))
     lines = []
+    status_changed = False  # an item's status, or whether it is there at all
     for key in sorted(a["items"].keys() | b["items"].keys()):
         ia, ib = a["items"].get(key), b["items"].get(key)
         if ia == ib:
             continue
         if ia is None or ib is None:
             lines.append(f"{key}: only in {'B' if ia is None else 'A'}")
+            status_changed = True
             continue
+        status_changed |= ia["status"] != ib["status"]
         moved = [f"{f} {ia[f]} -> {ib[f]}" for f in ("status", "mv_total", "mv_setup", "f_best")
                  if ia[f] != ib[f]]
         lines.append(f"{key}: {'; '.join(moved) or 'records or final_x'}")
     families = Counter(key[:2] for key in lines)
     header = f"{len(lines)} of {len(b['items'])} items differ" + "".join(
         f", {fam} {n}" for fam, n in sorted(families.items()))
+    ha, hb = a.get("host"), b.get("host")
+    if ha and hb and ha != hb:
+        header += "\nhosts differ: " + "; ".join(
+            f"{f} {ha.get(f)} -> {hb.get(f)}" for f in {**ha, **hb} if ha.get(f) != hb.get(f))
     print("\n".join([header, *lines]))
     print("products summed over the suite, A -> B:")
     for kind in a["mv_totals"]:
@@ -130,7 +159,7 @@ def diff(args: argparse.Namespace) -> int:
             for name in [*sa, *(name for name in sb if name not in sa)]:
                 ma, mb = sa.get(name, 0), sb.get(name, 0)
                 print(f"  {kind:<22} {name:<10} {ma:>8} -> {mb:>8}{'' if ma == mb else '  *'}")
-    return 1 if lines else 0
+    return 2 if status_changed else 1 if lines else 0
 
 
 def main(argv=None) -> int:

@@ -84,7 +84,9 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     Returns ``(s_next, ad, crossed)``: ``ad`` is the product A d the step
     paid for, and ``crossed`` is True when the new iterate's sign pattern
     differs from the anchor's anywhere (a coordinate landing exactly at
-    zero counts as a sign change).
+    zero counts as a sign change). A crossing step is its cycle's last:
+    the model agrees with F only on the anchor's orthant, so the caller
+    either cuts the step back or accepts it and closes the cycle.
     Raises :class:`CurvatureBreak` when d'Ad <= curv_tol * ||d||^2, and
     ValueError for a state whose cycle has ended (rho_dot 0.0, as after a
     cutback), before any product is paid for.
@@ -109,49 +111,46 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     return s_next, ad, crossed
 
 
-def cutback_alpha(x_k, anchor_sign, d) -> tuple[float, np.ndarray, bool]:
+def cutback_alpha(x_k, anchor_sign, d) -> tuple[float, np.ndarray]:
     """Largest steplength along d that keeps x_k on the anchor's closed orthant.
 
-    Returns ``(alpha_b, snap_mask, moved)``. ``moved`` is False when x_k
-    has already left the anchor's orthant, in which case the point is
-    kept unchanged. ``snap_mask`` marks the coordinates that reach the
-    orthant boundary at alpha_b and must land at exactly 0.0. With no
-    boundary-bound coordinate the full step alpha_b = 1 is returned.
+    Returns ``(alpha_b, snap_mask)``. ``snap_mask`` marks the coordinates
+    that reach the orthant boundary at alpha_b and must land at exactly
+    0.0. With no boundary-bound coordinate the full step alpha_b = 1 is
+    returned. Raises ValueError for an x_k off the anchor's orthant: a
+    cycle ends at its first accepted crossing step, so every step it cuts
+    back starts on that orthant.
     """
     x_k = np.asarray(x_k, dtype=np.float64)
     anchor_sign = np.asarray(anchor_sign, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     if np.any(np.sign(x_k) != anchor_sign):
-        return 0.0, np.zeros(x_k.shape, dtype=bool), False
+        raise ValueError("x_k is off the anchor's orthant")
     # x_k has the anchor's signs here, so d against a sign is a crossing
     # (x_k * d < 0 would miss products that underflow to -0.0)
     crossing = (anchor_sign != 0.0) & (np.sign(d) == -anchor_sign)
     if not np.any(crossing):
-        return 1.0, np.zeros(x_k.shape, dtype=bool), True
+        return 1.0, np.zeros(x_k.shape, dtype=bool)
     ratios = np.full(x_k.shape, np.inf)
     ratios[crossing] = -x_k[crossing] / d[crossing]
     alpha_b = float(ratios[crossing].min())
     snap = crossing & (ratios <= alpha_b * (1.0 + 1e-12))
-    return alpha_b, snap, True
+    return alpha_b, snap
 
 
-def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray, bool]) -> CGState:
+def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray]) -> CGState:
     """Truncate a rejected crossing step to the anchor orthant's boundary.
 
-    ``s`` is the state the step started from, ``ad`` its product A d and
-    ``cut`` the result of :func:`cutback_alpha`. If s.x lies on the
-    anchor's orthant, the new point is s.x + alpha_b*d with the
-    boundary-hitting coordinates snapped to exactly 0.0; otherwise the
-    state holds s.x itself. The residual becomes s.r + alpha_b*ad, so the
+    ``s`` is the state the step started from, on the anchor's orthant,
+    ``ad`` its product A d and ``cut`` the result of :func:`cutback_alpha`.
+    The new point is s.x + alpha_b*d with the boundary-hitting coordinates
+    snapped to exactly 0.0, and the residual s.r + alpha_b*ad, so the
     returned state's ``smooth_grad`` and ``objective`` cost no further
     products. Its ``rho_dot`` is 0.0, and :func:`cg_step` refuses such a state.
     """
-    alpha_b, snap, moved = cut
-    if moved:
-        x = s.x + alpha_b * s.d
-        x[snap] = 0.0
-    else:
-        x = s.x
+    alpha_b, snap = cut
+    x = s.x + alpha_b * s.d
+    x[snap] = 0.0
     return CGState(x=x, r=s.r + alpha_b * ad, d=s.d, anchor_sign=s.anchor_sign,
                    free=s.free, shift=s.shift, rho_dot=0.0)
 

@@ -347,7 +347,13 @@ class _Run:
 
 
 def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
-    """The interleaved loop: one CG or first-order step per accepted point."""
+    """The interleaved loop: one CG or first-order step per accepted point.
+
+    A CG cycle is anchored at the point of a first-order step. It ends at
+    a cutback, a curvature break or an accepted step that left the
+    anchor's orthant, or when its test fails; the next step is then a
+    first-order one.
+    """
     op, b, tau = problem.op, problem.b, problem.tau
     run = _Run(problem, cfg, x0)
     # sp, the split at the accepted iterate (x, g), serves iiCG-2's choice
@@ -370,7 +376,7 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
         if anchor:
             st, anchor = init_cg_cycle(x, g, tau), False
         # CG while a cycle is open and its test holds (rho_dot is read before the
-        # lazy sp.balanced); a curvature break or a cutback closes the cycle
+        # lazy sp.balanced)
         if st is not None and math.sqrt(st.rho_dot) > rho_tol and sp.balanced:
             try:
                 st_new, ad, crossed = cg_step(st, op, curv_tol)
@@ -384,7 +390,7 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
                 st_new = cutback(st, ad, cutback_alpha(st.x, st.anchor_sign, st.d))
                 f_new, step_name, st = st_new.objective(b, tau), STEP_CUTBACK, None
             else:
-                st, step_name = st_new, STEP_CG
+                st, step_name = None if crossed else st_new, STEP_CG
             x_new, g_new = st_new.x, st_new.smooth_grad()
         else:
             # iiCG-2 refines the current support when the balance condition

@@ -190,8 +190,7 @@ def test_cutback_hand_example():
     x_cg = np.array([1.0, 1.0])
     x_k = np.array([1.0, 2.0])
     d = np.array([-2.0, 1.0])
-    alpha_b, snap, moved = cutback_alpha(x_k, np.sign(x_cg), d)
-    assert moved
+    alpha_b, snap = cutback_alpha(x_k, np.sign(x_cg), d)
     assert alpha_b == 0.5
     out = _cut(x_k, x_cg, d, ad=[4.0, -2.0])
     assert np.array_equal(out.x, [0.0, 2.5])
@@ -217,8 +216,7 @@ def test_cutback_matches_scan_oracle():
         x_cg = np.sign(rng.standard_normal(n)) * rng.uniform(0.5, 2, n)
         x_k = x_cg * rng.uniform(0.5, 1.5, n)  # same orthant
         d = rng.standard_normal(n)
-        alpha_b, snap, moved = cutback_alpha(x_k, np.sign(x_cg), d)
-        assert moved
+        alpha_b, snap = cutback_alpha(x_k, np.sign(x_cg), d)
         boundary_bound = (x_cg != 0) & (np.sign(d) == -np.sign(x_cg)) & (x_k * d < 0)
         if not np.any(boundary_bound):
             assert alpha_b == 1.0  # defensive full step, no boundary ahead
@@ -232,12 +230,13 @@ def test_cutback_matches_scan_oracle():
         assert abs(alpha_b - sup) <= res + 1e-12
 
 
-def test_cutback_off_orthant_returns_unchanged():
-    x_cg = np.array([1.0, 1.0])
-    x_k = np.array([1.0, -2.0])
-    out = _cut(x_k, x_cg, np.array([5.0, 5.0]), ad=[3.0, 3.0])
-    assert np.array_equal(out.x, x_k)
-    assert np.array_equal(out.r, [0.0, 0.0])  # alpha_b = 0: residual kept
+def test_cutback_off_orthant_is_refused():
+    # a cycle ends at its first accepted crossing step, so a cutback
+    # never starts off the anchor's orthant; one that would is an error
+    x_cg = np.array([1.0, 1.0, 0.0])
+    for x_k in ([1.0, -2.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.5]):
+        with pytest.raises(ValueError, match="off the anchor's orthant"):
+            _cut(x_k, x_cg, np.array([5.0, 5.0, 0.0]), ad=[3.0, 3.0, 0.0])
 
 
 def test_cutback_zero_direction_no_move():

@@ -44,12 +44,55 @@ def test_diff_lists_each_changed_item(tmp_path, capsys):
         paths[-1].write_text(json.dumps(digest))
     assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[0])) == 0
     assert capsys.readouterr().out.startswith("0 of 3 items differ\n")
-    assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[1])) == 1
+    assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[1])) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[:3] == ["2 of 3 items differ, en 1, sg 1",
                        "ens1 reference: records or final_x",
                        "sga1 reference: status converged -> budget; mv_total 10 -> 12"]
     assert out[-1] == "  reference                    30 ->       32  *"
+
+
+def test_diff_exits_2_only_for_a_status_change_or_a_missing_item(tmp_path, capsys):
+    item = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
+    a = {"items": {"ens1 reference": item, "pns1 reference": item},
+         "mv_totals": {"reference": 20}}
+    records = json.loads(json.dumps(a))
+    records["items"]["ens1 reference"]["sha256"] = "1"
+    products = json.loads(json.dumps(a))
+    products["items"]["ens1 reference"].update(mv_total=11, f_best=-1.5)
+    fewer = json.loads(json.dumps(a))
+    del fewer["items"]["pns1 reference"]
+    paths = {}
+    for name, digest in (("a", a), ("records", records), ("products", products),
+                         ("fewer", fewer)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(digest))
+    for x, y, code, line in (("a", "records", 1, "ens1 reference: records or final_x"),
+                             ("a", "products", 1,
+                              "ens1 reference: mv_total 10 -> 11; f_best -1.0 -> -1.5"),
+                             ("a", "fewer", 2, "pns1 reference: only in A"),
+                             ("fewer", "a", 2, "pns1 reference: only in B")):
+        assert desk_traces.diff(argparse.Namespace(a=paths[x], b=paths[y])) == code, (x, y)
+        assert capsys.readouterr().out.splitlines()[1] == line
+
+
+def test_diff_names_the_hosts_when_they_differ(tmp_path, capsys):
+    item = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
+    old = {"items": {"ens1 reference": item}, "mv_totals": {"reference": 10}}
+    here = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31", "cpus": 2}
+    a = dict(old, host=here)
+    b = dict(old, host=dict(here, numpy="2.3.0", cpus=8))
+    paths = {}
+    for name, digest in (("old", old), ("a", a), ("b", b)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(digest))
+    assert desk_traces.diff(argparse.Namespace(a=paths["a"], b=paths["b"])) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "0 of 1 items differ", "hosts differ: numpy 2.4.6 -> 2.3.0; cpus 2 -> 8"]
+    for x, y in (("a", "a"), ("old", "b"), ("a", "old")):
+        assert desk_traces.diff(argparse.Namespace(a=paths[x], b=paths[y])) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("0 of 1 items differ\n") and "hosts differ" not in out
 
 
 def test_diff_prints_step_counts_only_when_both_digests_have_them(tmp_path, capsys):
@@ -93,4 +136,6 @@ def test_write_stores_the_step_counts_of_each_kind(tmp_path, monkeypatch):
             assert d["steps"][kind] == {s: 2 * steps.count(s) for s in set(steps)}, kind
             assert d["mv_totals"][kind] == 2 * tr.mv_total
     assert len(d["items"]) == 28
+    assert d["host"] == desk_traces.host()
+    assert set(d["host"]) == {"python", "numpy", "blas", "cpus"}
     assert set(d["steps"]) == {kind for kind, _ in desk_traces.KINDS} | {desk_traces.REFERENCE}

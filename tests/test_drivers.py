@@ -444,6 +444,42 @@ def test_a_cutback_ends_its_cycle(algorithm, policy):
 
 @pytest.mark.parametrize("algorithm", ("iicg1", "iicg2"))
 @pytest.mark.parametrize("policy", ("bb", "constant"))
+def test_an_accepted_crossing_step_ends_its_cycle(algorithm, policy, monkeypatch):
+    # The orthant model agrees with F only on the anchor's orthant: a CG
+    # step that left it and passed sufficient decrease is recorded as CG,
+    # and the step after it is the next first-order step, or there is
+    # none. So every cutback starts from a point on the anchor's orthant.
+    p = gen_elastic_net(60, 100, 10.0, 0.1, 5.0, seed=0).problem
+    step, alpha = drivers_mod.cg_step, drivers_mod.cutback_alpha
+    crossings, cut_starts = [], []
+
+    def watched_step(st, op, curv_tol):
+        out = step(st, op, curv_tol)
+        if out[2]:
+            crossings.append(op.mv_count - before)
+        return out
+
+    def watched_alpha(x_k, anchor_sign, d):
+        cut_starts.append(np.array_equal(np.sign(x_k), anchor_sign))
+        return alpha(x_k, anchor_sign, d)
+
+    monkeypatch.setattr(drivers_mod, "cg_step", watched_step)
+    monkeypatch.setattr(drivers_mod, "cutback_alpha", watched_alpha)
+    before = p.op.mv_count
+    tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-8, alpha_policy=policy))
+    steps = [rec.step for rec in tr.records]
+    by_mv = {rec.mv: i for i, rec in enumerate(tr.records)}
+    accepted = [by_mv[mv] for mv in crossings if steps[by_mv[mv]] == "CG"]
+    assert len(accepted) >= 1
+    for i in accepted:
+        after = steps[i + 1] if i + 1 < len(steps) else None
+        assert after in (None, "ISTA", "SUBISTA", "LSFALLBACK"), (i, after)
+    assert len(cut_starts) == steps.count("CUTBACK") >= 1
+    assert all(cut_starts)
+
+
+@pytest.mark.parametrize("algorithm", ("iicg1", "iicg2"))
+@pytest.mark.parametrize("policy", ("bb", "constant"))
 def test_a_curvature_break_on_a_singular_operator_closes_its_cycle(algorithm, policy,
                                                                    monkeypatch):
     # At x0 = (1.5, -0.5) the gradient is 0, so a cycle's first direction
