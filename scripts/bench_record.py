@@ -23,8 +23,10 @@ compared in pairs:
 ``compare A B`` pairs the untraced runs of each workload by seed and prints,
 per end-to-end metric, the median and quartiles of each side and the number
 of pairs in which B is better. It also prints each seed whose ``mv_total``
-differs, and the traced per-layer metrics side by side when both files hold
-a traced run at the same seed. It exits 1 when a run of either file failed
+differs, each seed whose ``trace_sha256`` differs (or that it is equal at
+all the seeds where both runs have one), and the traced per-layer metrics
+side by side when both files hold a traced run at the same seed. It exits 1
+when a run of either file failed
 its correctness gate.
 """
 
@@ -143,6 +145,14 @@ def compare_workload(wl: str, runs_a: list[dict], runs_b: list[dict],
         mv_a, mv_b = (by_seed_a[s]["info"]["mv_total"], by_seed_b[s]["info"]["mv_total"])
         if mv_a != mv_b:
             lines.append(f"  seed {s}: mv_total {mv_a} -> {mv_b} ({(mv_b - mv_a) / mv_a:+.3%})")
+    shas = {s: [by_seed[s]["info"].get("trace_sha256") for by_seed in (by_seed_a, by_seed_b)]
+            for s in seeds}
+    shas = {s: pair for s, pair in shas.items() if None not in pair}
+    differ = [s for s, (sha_a, sha_b) in shas.items() if sha_a != sha_b]
+    for s in differ:
+        lines.append(f"  seed {s}: trace_sha256 {shas[s][0][:8]} -> {shas[s][1][:8]}")
+    if shas and not differ:
+        lines.append(f"  trace_sha256 equal at all {len(shas)} seeds")
     return lines
 
 

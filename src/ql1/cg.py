@@ -1,9 +1,9 @@
 """Projected conjugate gradient on the orthant model over the free subspace.
 
-A cycle is anchored at the point where it starts: the anchor's sign
-vector defines a smooth quadratic model that agrees with the objective
-everywhere on the anchor's orthant, and the anchor's zero coordinates
-define the subspace the iteration is projected onto. The residual
+A cycle is anchored at the point where it starts and keeps its split: the
+anchor's signs define a smooth quadratic model that agrees with the
+objective everywhere on the anchor's orthant, and the anchor's zero
+coordinates define the subspace the iteration is projected onto. The residual
 recurrence keeps the model gradient available at every iterate, so
 objective values, subgradients, and the gradient handed back to the
 first-order phase all cost zero extra matrix-vector products.
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ql1.problem import CountingOperator, objective_from_ax
+from ql1.subgrad import SubgradientSplit
 
 
 # Curvature u'Au/u'u below -NEG_CURV * L proves A indefinite; the guard
@@ -37,45 +38,31 @@ class CurvatureBreak(Exception):
 
 @dataclass
 class CGState:
+    """One iterate of a cycle; every step reads the anchor's ``sign``, ``zero`` and ``shift``."""
+
     x: np.ndarray          # current iterate; zero wherever the anchor is zero
-    r: np.ndarray          # Ax - b + tau*sign(anchor), maintained by recurrence
+    r: np.ndarray          # Ax - b + anchor.shift, maintained by recurrence
     d: np.ndarray          # search direction, supported on the free subspace
-    anchor_sign: np.ndarray  # sign of the point where the cycle started
-    free: np.ndarray       # anchor != 0: the subspace the cycle moves in
-    shift: np.ndarray      # tau*sign(anchor), so that r = Ax - b + shift
+    anchor: SubgradientSplit  # the split of the point where the cycle started
     rho_dot: float         # ||rho||^2 for rho, r projected onto the free subspace;
                            # 0.0 after a cutback, which cg_step refuses
 
     def smooth_grad(self) -> np.ndarray:
         """Gradient Ax - b at the current iterate, from the cached residual."""
-        return self.r - self.shift
+        return self.r - self.anchor.shift
 
     def objective(self, b: np.ndarray, tau: float) -> float:
         """F at the current iterate with zero extra matrix-vector products."""
-        return objective_from_ax(self.x, self.r + b - self.shift, b, tau)
+        return objective_from_ax(self.x, self.r + b - self.anchor.shift, b, tau)
 
 
-def init_cg_cycle(x, g, tau: float) -> CGState:
-    """Start a cycle at x with smooth gradient g = Ax - b already known.
+def init_cg_cycle(sp: SubgradientSplit) -> CGState:
+    """Start a cycle at the point of the split ``sp``: r = ``sp.orthant_grad``, d = -``sp.support``.
 
-    The state holds x itself, not a copy: no step writes to an iterate.
+    The state holds the split's arrays, not copies: no step writes to them.
     """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    sign = np.sign(x)
-    shift = tau * sign
-    free = x != 0.0
-    r = g + shift
-    rho = np.where(free, r, 0.0)
-    return CGState(
-        x=x,
-        r=r,
-        d=-rho,
-        anchor_sign=sign,
-        free=free,
-        shift=shift,
-        rho_dot=float(rho @ rho),
-    )
+    rho = sp.support
+    return CGState(x=sp.x, r=sp.orthant_grad, d=-rho, anchor=sp, rho_dot=float(rho @ rho))
 
 
 def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
@@ -101,13 +88,12 @@ def cg_step(s: CGState, op: CountingOperator, curv_tol: float = 0.0):
     alpha = s.rho_dot / dad
     x_new = s.x + alpha * s.d
     r_new = s.r + alpha * ad
-    rho_new = np.where(s.free, r_new, 0.0)
+    rho_new = np.where(s.anchor.zero, 0.0, r_new)
     rho_dot_new = float(r_new @ rho_new)
     beta = rho_dot_new / s.rho_dot
     d_new = -rho_new + beta * s.d
-    crossed = bool(np.any(np.sign(x_new) != s.anchor_sign))
-    s_next = CGState(x=x_new, r=r_new, d=d_new, anchor_sign=s.anchor_sign,
-                     free=s.free, shift=s.shift, rho_dot=rho_dot_new)
+    crossed = bool(np.any(np.sign(x_new) != s.anchor.sign))
+    s_next = CGState(x=x_new, r=r_new, d=d_new, anchor=s.anchor, rho_dot=rho_dot_new)
     return s_next, ad, crossed
 
 
@@ -151,8 +137,7 @@ def cutback(s: CGState, ad: np.ndarray, cut: tuple[float, np.ndarray]) -> CGStat
     alpha_b, snap = cut
     x = s.x + alpha_b * s.d
     x[snap] = 0.0
-    return CGState(x=x, r=s.r + alpha_b * ad, d=s.d, anchor_sign=s.anchor_sign,
-                   free=s.free, shift=s.shift, rho_dot=0.0)
+    return CGState(x=x, r=s.r + alpha_b * ad, d=s.d, anchor=s.anchor, rho_dot=0.0)
 
 
 def sufficient_decrease(f_next: float, f_curr: float, v_curr, c: float) -> bool:

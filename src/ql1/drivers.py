@@ -31,7 +31,8 @@ from ql1.cg import (
     sufficient_decrease,
 )
 from ql1.fileio import read_csv, write_csv
-from ql1.first_order import bb_ls_step, ista_step, ls_window, step_curvature, subspace_ista_step
+from ql1.first_order import (bb_ls_step, bb_stepsize, ista_step, ls_window, step_curvature,
+                             subspace_ista_step)
 from ql1.problem import CountingOperator, QuadraticProblem
 from ql1.rng import Rng
 # The five split helpers stay importable here for the benchmark's tracer.
@@ -186,7 +187,8 @@ def estimate_max_eig(op: CountingOperator, max_products: int = _EIG_MAX_PRODUCTS
     Krylov space is invariant and the value is exact), or after
     ``max_products`` products. Every product is charged to the operator's
     counter. A zero operator, or any nonpositive estimate, yields 1.0
-    (any steplength is then valid).
+    (any steplength is then valid); so does an operator on n = 0
+    coordinates, which is a zero operator, at no product.
 
     It serves two uses. At the default cap of 200 it is the safe
     estimate, a bound on the largest eigenvalue, at which FISTA and the
@@ -196,7 +198,7 @@ def estimate_max_eig(op: CountingOperator, max_products: int = _EIG_MAX_PRODUCTS
     and Ritz values as an uncapped one.
     """
     if op.n < 1:
-        raise ValueError("operator dimension must be at least 1")
+        return 1.0
     v = Rng(0).normals(op.n)  # nonzero: its first entry is -0.45
     v /= float(np.linalg.norm(v))
     v_prev = None
@@ -279,17 +281,18 @@ class _Run:
     def mv(self) -> int:
         return self.problem.op.mv_count - self.mv_start
 
-    def bound_alpha(self, mv_left: int) -> float:
+    def bound_alpha(self) -> float:
         """1/L for the line search's untested fallback, with L a bound.
 
         A BB solve's L is a short estimate, so its first fallback pays for
-        the safe estimate, spending at most ``mv_left`` products. If it
-        spends them all, none is left for the trial, and
-        :class:`_BoundUnpaid` ends the solve.
+        the safe estimate, spending at most the products the budget has
+        left, rejected trials already counted. If it spends them all, none
+        is left for the trial, and :class:`_BoundUnpaid` ends the solve.
         """
         if self.l_bound is None:
             op = self.problem.op
             mv0 = op.mv_count
+            mv_left = self.cfg.mv_budget - self.mv
             l_bound = estimate_max_eig(op, min(_EIG_MAX_PRODUCTS, mv_left))
             if op.mv_count - mv0 >= mv_left:
                 raise _BoundUnpaid
@@ -349,10 +352,11 @@ class _Run:
 def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
     """The interleaved loop: one CG or first-order step per accepted point.
 
-    A CG cycle is anchored at the point of a first-order step. It ends at
-    a cutback, a curvature break or an accepted step that left the
+    A CG cycle starts from the split of a first-order step's point. It
+    ends at a cutback, a curvature break or an accepted step that left the
     anchor's orthant, or when its test fails; the next step is then a
-    first-order one.
+    first-order one, whose "bb" line search starts from the BB steplength
+    of the last two accepted points, CG points included.
     """
     op, b, tau = problem.op, problem.b, problem.tau
     run = _Run(problem, cfg, x0)
@@ -374,7 +378,7 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
             run.status = STATUS_BUDGET
             break
         if anchor:
-            st, anchor = init_cg_cycle(x, g, tau), False
+            st, anchor = init_cg_cycle(sp), False
         # CG while a cycle is open and its test holds (rho_dot is read before the
         # lazy sp.balanced)
         if st is not None and math.sqrt(st.rho_dot) > rho_tol and sp.balanced:
@@ -387,7 +391,7 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
                 continue
             f_new = st_new.objective(b, tau)
             if crossed and not sufficient_decrease(f_new, f, sp.min_norm, cfg.c):
-                st_new = cutback(st, ad, cutback_alpha(st.x, st.anchor_sign, st.d))
+                st_new = cutback(st, ad, cutback_alpha(st.x, st.anchor.sign, st.d))
                 f_new, step_name, st = st_new.objective(b, tau), STEP_CUTBACK, None
             else:
                 st, step_name = None if crossed else st_new, STEP_CG
@@ -402,8 +406,9 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
                 stepper, step_name = ista_step, STEP_ISTA
             if cfg.alpha_policy == "bb":
                 try:
-                    res = bb_ls_step(problem, x, g, x_prev, g_prev, stepper, window, alpha_const,
-                                     mv_left, run.bound_alpha)
+                    alpha = bb_stepsize(x, x_prev, g, g_prev, alpha_const)
+                    res = bb_ls_step(problem, x, g, alpha, stepper, window, mv_left,
+                                     run.bound_alpha)
                 except CurvatureBreak:
                     run.status = STATUS_UNBOUNDED
                     break

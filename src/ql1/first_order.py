@@ -97,15 +97,13 @@ def bb_ls_step(
     problem: QuadraticProblem,
     x: np.ndarray,
     g: np.ndarray,
-    x_prev: np.ndarray | None,
-    g_prev: np.ndarray | None,
+    alpha: float,
     step: Callable[[np.ndarray, np.ndarray, float, float], np.ndarray],
     window: deque,
-    fallback_alpha: float,
     mv_left: int,
-    bound_alpha: Callable[[int], float],
+    bound_alpha: Callable[[], float],
 ) -> BBStepResult:
-    """One BB step with nonmonotone halving line search.
+    """One nonmonotone halving line search from the steplength ``alpha``.
 
     ``step(x, g, tau, alpha)`` is the proximal step the caller chose:
     :func:`ista_step` over all coordinates, or :func:`subspace_ista_step`
@@ -115,26 +113,24 @@ def bb_ls_step(
         F(x_trial) <= max(window) - (a/2) * LS_XI * ||x - x_trial||^2,
 
     the halved steplength appearing because the halving precedes the
-    test. ``fallback_alpha`` is the first trial's steplength where BB
-    gives none (see :func:`bb_stepsize`). If LS_MAX_HALVINGS trials all
-    fail, the step falls back to the steplength ``bound_alpha(n)``, which
-    may spend products but leaves one of the n left for the trial, and is
+    test. The caller picks the first trial's steplength ``alpha``, a BB
+    steplength as :func:`bb_stepsize` gives it. If LS_MAX_HALVINGS trials
+    all fail, the step falls back to the steplength ``bound_alpha()``,
+    which may spend products but leaves one for the trial, and is
     accepted unconditionally (flagged). The accepted F enters the front of
     ``window`` (see :func:`ls_window`).
     ``mv_left`` (at least 1) caps the number of trials: when it is used
-    up, the last trial is returned although the test rejected it. A
-    :class:`CurvatureBreak` from :func:`bb_stepsize` comes before any trial.
+    up, the last trial is returned although the test rejected it.
     """
     if mv_left < 1:
         raise ValueError(f"mv_left must be at least 1, got {mv_left}")
     reference = max(window)
-    alpha = bb_stepsize(x, x_prev, g, g_prev, fallback_alpha)
     fallback = False
     trials = 0
     while True:
         trials += 1
         if trials > LS_MAX_HALVINGS:
-            alpha = bound_alpha(mv_left - trials + 1)
+            alpha = bound_alpha()
             fallback = True
         x_trial = step(x, g, problem.tau, alpha)
         ax_trial = problem.op.apply(x_trial)

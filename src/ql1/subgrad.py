@@ -54,9 +54,12 @@ class SubgradientSplit:
     """The decomposition at one point, each part computed on first use.
 
     The solvers' path: x and g are unchecked float64 vectors of one shape.
-    On the zeros, ``release`` is 0 where |g_i| <= tau and g_i - tau*sign(g_i)
+    x's orthant gives ``sign`` = sign(x), ``shift`` = tau*sign and
+    ``orthant_grad`` = g + shift, the gradient of the smooth model that equals
+    F on that orthant; a CG cycle anchored at x reads all three. On the
+    zeros, ``release`` is 0 where |g_i| <= tau and g_i - tau*sign(g_i)
     otherwise; it is 0 on the support. On the support, ``support`` is
-    g_i + tau*sign(x_i) and ``support_map`` is
+    ``orthant_grad`` and ``support_map`` is
     (x_i - soft_threshold(x_i - alpha*g_i, alpha*tau)) / alpha; both are 0
     on the zeros. The two sides are disjoint, so ``min_norm`` is
     ``release + support`` exactly and ``vnorm`` is its inf-norm. ``balanced``
@@ -77,10 +80,20 @@ class SubgradientSplit:
         return out
 
     @_once
+    def sign(self) -> np.ndarray:
+        return np.sign(self.x)
+
+    @_once
+    def shift(self) -> np.ndarray:
+        return self.tau * self.sign
+
+    @_once
+    def orthant_grad(self) -> np.ndarray:
+        return self.g + self.shift
+
+    @_once
     def support(self) -> np.ndarray:
-        out = self.g + self.tau * np.sign(self.x)
-        out[self.zero] = 0.0
-        return out
+        return np.where(self.zero, 0.0, self.orthant_grad)
 
     @_once
     def support_map(self) -> np.ndarray:
@@ -99,8 +112,8 @@ class SubgradientSplit:
 
     @_once
     def vnorm(self) -> float:
-        # sign(x) is 0 on the zeros, so there the sum is |g|
-        mag = np.abs(self.g + self.tau * np.sign(self.x))
+        # sign(x) is 0 on the zeros, so there the orthant gradient is g
+        mag = np.abs(self.orthant_grad)
         return float(np.where(self.zero, mag - self.tau, mag).max(initial=0.0))
 
 

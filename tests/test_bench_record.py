@@ -10,9 +10,12 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def _run(seed, wall, mv, correct=True):
+def _run(seed, wall, mv, correct=True, sha=None):
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "mv_total": {"value": mv, "unit": "count"}}
-    return {"seed": seed, "info": {"workload": "w", "trace": 0, "mv_total": mv},
+    info = {"workload": "w", "trace": 0, "mv_total": mv}
+    if sha is not None:
+        info["trace_sha256"] = sha
+    return {"seed": seed, "info": info,
             "result": {"correct": correct, "failed": 0 if correct else 1, "metrics": metrics}}
 
 
@@ -33,6 +36,19 @@ def test_compare_pairs_runs_by_seed():
     mv = next(line for line in lines if line.lstrip().startswith("mv_total"))
     assert mv.endswith("0/3")
     assert lines[-1] == "  seed 3: mv_total 100 -> 101 (+1.000%)"
+
+
+def test_compare_reports_trace_hashes_by_seed():
+    # seed 4 has no hash on one side and is skipped
+    a = [_run(1, 1.0, 5, sha="a" * 64), _run(2, 1.0, 5, sha="b" * 64), _run(4, 1.0, 5)]
+    b = [_run(1, 1.0, 5, sha="a" * 64), _run(2, 1.0, 5, sha="c" * 64),
+         _run(4, 1.0, 5, sha="d" * 64)]
+    lines = bench_record.compare_workload("w", a, b, {})
+    assert lines[-1] == "  seed 2: trace_sha256 bbbbbbbb -> cccccccc"
+    assert not any("equal" in line or "seed 1:" in line for line in lines)
+    b[1] = _run(2, 1.0, 5, sha="b" * 64)
+    lines = bench_record.compare_workload("w", a, b, {})
+    assert lines[-1] == "  trace_sha256 equal at all 2 seeds"
 
 
 def test_failures_name_each_failed_run():

@@ -14,6 +14,7 @@ from ql1.cg import (
     sufficient_decrease,
 )
 from ql1.problem import DenseOperator, QuadraticProblem
+from ql1.subgrad import split_subgradient
 
 
 def orthant_model_value(x, anchor, ax, b, tau: float) -> float:
@@ -25,24 +26,30 @@ def orthant_model_value(x, anchor, ax, b, tau: float) -> float:
     return 0.5 * float(x @ ax) + float(shifted @ x)
 
 
+def _cycle(x, g, tau: float) -> CGState:
+    """A cycle anchored at x, with smooth gradient g, started from x's split."""
+    return init_cg_cycle(split_subgradient(np.asarray(x, dtype=np.float64),
+                                           np.asarray(g, dtype=np.float64), tau, 1.0))
+
+
 def _rho(s: CGState) -> np.ndarray:
     """The residual projected onto the cycle's free subspace."""
-    return np.where(s.free, s.r, 0.0)
+    return np.where(s.anchor.zero, 0.0, s.r)
 
 
 def test_init_empty_support():
-    s = init_cg_cycle(np.zeros(3), np.array([1.0, -2.0, 0.5]), 1.0)
+    s = _cycle(np.zeros(3), np.array([1.0, -2.0, 0.5]), 1.0)
     assert s.rho_dot == 0.0
     assert np.array_equal(s.d, np.zeros(3))
 
 
 def test_init_hand_values():
-    s = init_cg_cycle(np.array([1.0, 0.0]), np.array([2.0, 9.0]), 0.5)
+    s = _cycle(np.array([1.0, 0.0]), np.array([2.0, 9.0]), 0.5)
     assert np.array_equal(s.r, [2.5, 9.0])
     assert np.array_equal(_rho(s), [2.5, 0.0])
     assert s.rho_dot == 2.5 * 2.5
     assert np.array_equal(s.d, [-2.5, 0.0])
-    s = init_cg_cycle(np.array([-1.0, 1.0]), np.zeros(2), 1.0)
+    s = _cycle(np.array([-1.0, 1.0]), np.zeros(2), 1.0)
     assert np.array_equal(s.r, [-1.0, 1.0])
     assert np.array_equal(_rho(s), s.r)
     assert s.rho_dot == 2.0
@@ -57,7 +64,7 @@ def test_cg_step_identity_hessian_one_shot():
     b = rng.standard_normal(n)
     x = np.sign(rng.standard_normal(n)) * rng.uniform(1, 2, n)
     g = op.a @ x - b
-    s = init_cg_cycle(x, g, 0.3)
+    s = _cycle(x, g, 0.3)
     s1, ad, _ = cg_step(s, op)
     assert np.array_equal(ad, op.a @ s.d)
     assert np.abs(s1.x - (x - _rho(s))).max() <= 1e-14 * np.abs(x).max()
@@ -68,7 +75,7 @@ def test_cg_step_1d_crossing():
     op = DenseOperator([[2.0]])
     x = np.array([1.0])
     g = np.array([2.0])  # A x - b with b = 0
-    s = init_cg_cycle(x, g, 0.0)
+    s = _cycle(x, g, 0.0)
     assert np.array_equal(s.d, [-2.0])
     s1, _, crossed = cg_step(s, op)
     # alpha = r'rho / d'Ad = 4/8 = 0.5, landing exactly at 0
@@ -80,7 +87,7 @@ def test_cg_detects_stationary_start():
     op = DenseOperator(np.diag([2.0, 4.0]))
     x = np.array([1.0, 1.0])
     b = np.array([2.0, 4.0])
-    s = init_cg_cycle(x, op.a @ x - b, 0.0)
+    s = _cycle(x, op.a @ x - b, 0.0)
     assert s.rho_dot == 0.0
 
 
@@ -88,14 +95,14 @@ def test_curvature_break_on_singular_direction():
     op = DenseOperator(np.diag([1.0, 0.0]))
     x = np.array([0.0, 1.0])
     g = op.a @ x - np.array([0.0, 1.0])
-    s = init_cg_cycle(x, g, 0.0)
+    s = _cycle(x, g, 0.0)
     with pytest.raises(CurvatureBreak):
         cg_step(s, op, curv_tol=1e-14)
 
 
 def _run_cycle(op, b, tau, x0, max_steps=200):
     g = op.a @ x0 - b
-    s = init_cg_cycle(x0, g, tau)
+    s = _cycle(x0, g, tau)
     states = [s]
     while np.sqrt(s.rho_dot) > 1e-10 and len(states) <= max_steps:
         s, _, _ = cg_step(s, op)
@@ -120,7 +127,7 @@ def test_cycle_conjugacy_descent_and_finite_termination():
         assert len(states) - 1 <= support + 2
         # model value decreases strictly while stepping
         q_vals = [
-            orthant_model_value(s.x, s.anchor_sign, a @ s.x, b, tau) for s in states
+            orthant_model_value(s.x, s.anchor.sign, a @ s.x, b, tau) for s in states
         ]
         for q_prev, q_next in zip(q_vals, q_vals[1:]):
             assert q_next < q_prev + 1e-12
@@ -150,14 +157,14 @@ def test_residual_recurrence_consistency():
     x0[rng.random(n) < 0.3] = 0.0
     tau = 0.7
     for s in _run_cycle(op, b, tau, x0):
-        explicit = a @ s.x - b + tau * s.anchor_sign
+        explicit = a @ s.x - b + tau * s.anchor.sign
         bound = 1e-8 * np.abs(a).max() * max(np.linalg.norm(s.x), 1.0)
         assert np.abs(s.r - explicit).max() <= bound
         # the anchor's zero coordinates stay exactly zero all cycle
-        assert np.all(s.x[~s.free] == 0.0)
+        assert np.all(s.x[s.anchor.zero] == 0.0)
         rho = _rho(s)
         assert s.rho_dot == float(s.r @ rho)
-        assert np.all(s.d[~s.free] == 0.0)
+        assert np.all(s.d[s.anchor.zero] == 0.0)
 
 
 def test_objective_from_state_matches_direct_evaluation():
@@ -178,11 +185,9 @@ def _cut(x_k, anchor, d, ad):
     """Cutback of the step along d from x_k, in a cycle anchored at anchor, residual 0."""
     x_k, anchor, d, ad = (np.asarray(v, dtype=np.float64) for v in (x_k, anchor, d, ad))
     r = np.zeros_like(x_k)
-    s = CGState(
-        x=x_k, r=r, d=d, anchor_sign=np.sign(anchor),
-        free=anchor != 0.0, shift=np.zeros_like(x_k), rho_dot=1.0,  # not read by cutback
-    )
-    return cutback(s, ad, cutback_alpha(x_k, s.anchor_sign, d))
+    s = CGState(x=x_k, r=r, d=d, anchor=split_subgradient(anchor, r, 0.0, 1.0),
+                rho_dot=1.0)  # not read by cutback
+    return cutback(s, ad, cutback_alpha(x_k, s.anchor.sign, d))
 
 
 def test_cutback_hand_example():
@@ -196,7 +201,7 @@ def test_cutback_hand_example():
     assert np.array_equal(out.x, [0.0, 2.5])
     assert out.x[0] == 0.0  # snapped exactly
     assert np.array_equal(out.r, [2.0, -1.0])  # r + alpha_b * Ad
-    assert np.array_equal(out.anchor_sign, np.sign(x_cg))
+    assert np.array_equal(out.anchor.sign, np.sign(x_cg))
     assert out.rho_dot == 0.0  # a cutback ends the cycle
 
 
@@ -278,21 +283,21 @@ def test_cutback_property_on_cycles(cycle):
     a, b, anchor, tau = cycle
     op = DenseOperator(a)
     p = QuadraticProblem(op, b, tau)
-    s = init_cg_cycle(anchor, a @ anchor - b, tau)
+    s = _cycle(anchor, a @ anchor - b, tau)
     for _ in range(anchor.size + 2):
-        if not np.array_equal(np.sign(s.x), s.anchor_sign) or s.rho_dot == 0.0:
+        if not np.array_equal(np.sign(s.x), s.anchor.sign) or s.rho_dot == 0.0:
             break
         try:
             s_new, ad, _ = cg_step(s, op)
         except CurvatureBreak:
             break
-        c = cutback(s, ad, cutback_alpha(s.x, s.anchor_sign, s.d))
+        c = cutback(s, ad, cutback_alpha(s.x, s.anchor.sign, s.d))
         assert c.rho_dot == 0.0
         # the point lies on the anchor's closed orthant
-        assert np.all(np.sign(c.x) * s.anchor_sign >= 0.0)
-        assert np.all(c.x[~s.free] == 0.0)
+        assert np.all(np.sign(c.x) * s.anchor.sign >= 0.0)
+        assert np.all(c.x[s.anchor.zero] == 0.0)
         # the residual is A x - b + tau*sign(anchor)
-        direct_r = a @ c.x - b + tau * s.anchor_sign
+        direct_r = a @ c.x - b + tau * s.anchor.sign
         scale = 1.0 + np.abs(a).sum(axis=1).max() * max(np.abs(c.x).max(), np.abs(s.x).max())
         scale += np.abs(b).max() + tau
         assert np.abs(c.r - direct_r).max() <= 1e-10 * scale

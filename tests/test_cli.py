@@ -89,6 +89,15 @@ def test_fstar_prints_reference(tmp_path, capsys):
     assert value == pytest.approx(-2.25, abs=1e-10)
 
 
+def test_solve_and_fstar_on_an_empty_problem(tmp_path, capsys):
+    prob_path = tmp_path / "p.ql1p"
+    write_problem(prob_path, QuadraticProblem(DenseOperator(np.zeros((0, 0))), np.zeros(0), 0.5))
+    assert main(["solve", str(prob_path)]) == 0
+    assert capsys.readouterr().out.startswith("status=converged mv=0 steps=0 ")
+    assert main(["fstar", str(prob_path)]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
 def _small_manifest(tmp_path):
     rows = []
     for i, seed in enumerate((1, 2)):

@@ -22,7 +22,7 @@ from ql1.drivers import (
     write_trace_csv,
 )
 from ql1.fileio import read_problem
-from ql1.first_order import ista_step
+from ql1.first_order import bb_stepsize, ista_step
 from ql1.probgen import gen_elastic_net, gen_strict_comp
 from ql1.problem import DenseOperator, FactoredOperator, QuadraticProblem
 from ql1.subgrad import min_norm_subgrad, release_grad
@@ -294,17 +294,23 @@ def test_fallback_pays_for_the_safe_bound_once(algorithm, monkeypatch):
     # step falls back, at 1/L of the safe estimate, paid on the first
     p = gen_elastic_net(50, 100, 10, 0, 1, seed=3).problem
     alpha_bound = 1.0 / estimate_max_eig(p.op)
-    calls = []
+    calls = []  # (cap, products the solve spent before the call) per estimate
     estimate, bb_ls_step = drivers_mod.estimate_max_eig, drivers_mod.bb_ls_step
+    before = p.op.mv_count
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return estimate(*args, **kwargs)
+    def counted(op, max_products=drivers_mod._EIG_MAX_PRODUCTS):
+        calls.append((max_products, op.mv_count - before))
+        return estimate(op, max_products)
+
+    def bound_caps_fit(budget):
+        # the set-up's short estimate first; the bound is offered what is left
+        return all(cap == min(drivers_mod._EIG_MAX_PRODUCTS, budget - spent)
+                   for cap, spent in calls[1:])
 
     steps = []
 
-    def captured(problem, x, g, x_prev, g_prev, step, *args):
-        res = bb_ls_step(problem, x, g, x_prev, g_prev, step, *args)
+    def captured(problem, x, g, alpha, step, *args):
+        res = bb_ls_step(problem, x, g, alpha, step, *args)
         steps.append((x, g, step, res))
         return res
 
@@ -321,7 +327,7 @@ def test_fallback_pays_for_the_safe_bound_once(algorithm, monkeypatch):
     before = p.op.mv_count
     tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-8, mv_budget=400))
     assert tr.status in (STATUS_CONVERGED, STATUS_BUDGET)
-    assert len(calls) == 2
+    assert len(calls) == 2 and bound_caps_fit(400)
     assert tr.mv_total == p.op.mv_count - before
     assert tr.l_est < 1.0 / alpha_bound
     fallbacks = [rec for rec in tr.records if rec.step == "LSFALLBACK"]
@@ -337,12 +343,62 @@ def test_fallback_pays_for_the_safe_bound_once(algorithm, monkeypatch):
     unpaid = 0
     for budget in range(setup + 1, setup + 100):
         before = p.op.mv_count
+        calls.clear()
         tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-14, mv_budget=budget))
+        assert bound_caps_fit(budget), budget
         assert tr.mv_total == p.op.mv_count - before <= budget, budget
         assert tr.status == STATUS_BUDGET, budget
         assert p.objective(tr.final_x) == pytest.approx(tr.f_best, rel=1e-9)
         unpaid += not tr.records
     assert unpaid >= 1
+
+
+@pytest.mark.parametrize("algorithm", ("iicg1", "iicg2", "istabb"))
+def test_the_line_search_starts_from_the_last_two_accepted_points(algorithm, monkeypatch):
+    # the first trial's steplength is 1/L at the first step and otherwise
+    # the BB steplength of the last two accepted points, a CG point too
+    p = gen_elastic_net(60, 100, 10.0, 0.1, 5.0, seed=0).problem
+    split, bb_ls_step = drivers_mod.split_subgradient, drivers_mod.bb_ls_step
+    points, calls = [], []
+
+    def with_grad(x, g, *args):
+        points.append((x, g))
+        return split(x, g, *args)
+
+    def captured(problem, x, g, alpha, *args):
+        assert points[-1][0] is x  # the last accepted point
+        calls.append((len(points) - 1, alpha))
+        return bb_ls_step(problem, x, g, alpha, *args)
+
+    monkeypatch.setattr(drivers_mod, "split_subgradient", with_grad)
+    monkeypatch.setattr(drivers_mod, "bb_ls_step", captured)
+    tr, seen = solve_with_iterates(p, SolverConfig(algorithm=algorithm, tol=1e-8))
+    assert tr.status == STATUS_CONVERGED
+    assert all(x is y for (x, _), y in zip(points, seen, strict=True))
+    after_cg = 0
+    for i, alpha in calls:
+        if i == 0:
+            assert alpha == 1.0 / tr.l_est
+            continue
+        (x, g), (x_prev, g_prev) = points[i], points[i - 1]
+        assert alpha == bb_stepsize(x, x_prev, g, g_prev, 1.0 / tr.l_est), i
+        after_cg += tr.records[i - 1].step in ("CG", "CUTBACK")
+    assert calls[0][0] == 0 and len(calls) >= 10
+    assert after_cg >= 3 if algorithm != "istabb" else after_cg == 0
+
+
+@pytest.mark.parametrize("l_value", (None, 1.0))
+def test_an_empty_problem_converges_at_no_product(l_value):
+    # an operator on n = 0 coordinates is a zero operator, so its L is 1.0
+    p = QuadraticProblem(DenseOperator(np.zeros((0, 0))), np.zeros(0), 0.5)
+    assert estimate_max_eig(p.op) == 1.0 and p.op.mv_count == 0
+    for algo in ALGOS:
+        for policy in drivers_mod._POLICIES[algo]:
+            tr = solve(p, SolverConfig(algorithm=algo, alpha_policy=policy, l_value=l_value))
+            assert tr.status == STATUS_CONVERGED, (algo, policy)
+            assert tr.mv_total == 0 and tr.records == [] and tr.final_x.shape == (0,)
+            assert tr.f_best == 0.0
+    assert reference_objective(p) == 0.0 and p.op.mv_count == 0
 
 
 def test_indefinite_operator_is_unbounded():

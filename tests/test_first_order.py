@@ -166,7 +166,7 @@ def test_bb_stepsize_negative_curvature_is_a_curvature_break():
     assert info.value.curvature == -1.0
 
 
-def _no_bound(mv_left):
+def _no_bound():
     raise AssertionError("the line search fell back")
 
 
@@ -174,15 +174,14 @@ def test_bb_ls_step_accepts_exact_1d_minimizer_first_trial():
     p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 0.0)
     window = ls_window(p.objective(np.array([1.0])))
     mv0 = p.op.mv_count
+    x, g = np.array([1.0]), np.array([-2.0])
     res = bb_ls_step(
         p,
-        x=np.array([1.0]),
-        g=np.array([-2.0]),
-        x_prev=np.array([0.0]),
-        g_prev=np.array([-4.0]),
+        x=x,
+        g=g,
+        alpha=bb_stepsize(x, np.array([0.0]), g, np.array([-4.0]), 0.1),
         step=ista_step,
         window=window,
-        fallback_alpha=0.1,
         mv_left=100,
         bound_alpha=_no_bound,
     )
@@ -207,11 +206,11 @@ def test_bb_ls_accepted_steps_satisfy_nonmonotone_bound():
     x_prev = g_prev = None
     for _ in range(60):
         ref = max(window)
-        res = bb_ls_step(p, x, g, x_prev, g_prev, ista_step, window, 1.0 / big_l, 1000,
-                         lambda n: 1.0 / big_l)
+        alpha = bb_stepsize(x, x_prev, g, g_prev, 1.0 / big_l)
+        res = bb_ls_step(p, x, g, alpha, ista_step, window, 1000, lambda: 1.0 / big_l)
         if not res.fallback:
             # the BB steplength, halved once per rejected trial
-            a = bb_stepsize(x, x_prev, g, g_prev, 1.0 / big_l) / 2.0 ** (res.trials - 1)
+            a = alpha / 2.0 ** (res.trials - 1)
             assert np.array_equal(res.x, ista_step(x, g, p.tau, a))
             diff = x - res.x
             assert res.f <= ref - (a / 2) * LS_XI * float(diff @ diff) + 1e-12
@@ -229,7 +228,7 @@ def test_bb_ls_subspace_mode_freezes_zeros():
     ax = p.op.apply(x)
     g = p.gradient(x, ax=ax)
     window = ls_window(p.objective(x, ax=ax))
-    res = bb_ls_step(p, x, g, None, None, subspace_ista_step, window, 0.05, 1000, lambda n: 0.05)
+    res = bb_ls_step(p, x, g, 0.05, subspace_ista_step, window, 1000, lambda: 0.05)
     assert np.all(res.x[x == 0.0] == 0.0)
 
 
@@ -237,21 +236,19 @@ def test_bb_ls_fallback_after_max_halvings():
     # an artificially unreachable reference forces the fallback path
     p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 0.0)
     window = ls_window(-1e9)
-    offered = []
+    asked = []
     res = bb_ls_step(
         p,
         x=np.array([1.0]),
         g=np.array([-2.0]),
-        x_prev=None,
-        g_prev=None,
+        alpha=0.5,
         step=ista_step,
         window=window,
-        fallback_alpha=0.5,
         mv_left=1000,
-        bound_alpha=lambda n: offered.append(n) or 0.125,
+        bound_alpha=lambda: asked.append(1) or 0.125,
     )
-    # the bound is asked for once, offered the products left after the halvings
-    assert offered == [1000 - LS_MAX_HALVINGS]
+    # the bound is asked for once, after the halvings
+    assert asked == [1]
     assert res.fallback
     assert np.array_equal(res.x, ista_step(np.array([1.0]), np.array([-2.0]), 0.0, 0.125))
     assert res.trials == LS_MAX_HALVINGS + 1 == 61
@@ -264,14 +261,14 @@ def test_bb_ls_stops_at_mv_left():
     # the same unreachable reference: mv_left ends the search before the fallback
     p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 0.0)
     window = ls_window(-1e9)
-    res = bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, ista_step, window,
-                     fallback_alpha=0.125, mv_left=3, bound_alpha=_no_bound)
+    res = bb_ls_step(p, np.array([1.0]), np.array([-2.0]), 0.125, ista_step, window,
+                     mv_left=3, bound_alpha=_no_bound)
     assert res.trials == p.op.mv_count == 3
     assert not res.fallback
     assert np.array_equal(res.x, ista_step(np.array([1.0]), np.array([-2.0]), 0.0, 0.125 / 4))
     with pytest.raises(ValueError):
-        bb_ls_step(p, np.array([1.0]), np.array([-2.0]), None, None, ista_step, window,
-                   fallback_alpha=0.125, mv_left=0, bound_alpha=_no_bound)
+        bb_ls_step(p, np.array([1.0]), np.array([-2.0]), 0.125, ista_step, window,
+                   mv_left=0, bound_alpha=_no_bound)
 
 
 def test_line_search_memory_window_shift():
