@@ -22,8 +22,10 @@ also stores the host: the Python, numpy and BLAS versions and the CPU count.
 Rounding differs from host to host, so only digests written on one host
 compare item by item.
 
-``diff A B`` lists every item whose entry differs, then the summed products
-and step counts of each kind from A to B. When both digests name their
+``diff A B`` lists every item whose entry differs; then, for each kind in
+which some item's products moved, how many items fell and how many rose,
+with the largest relative rise and fall; then the summed products and step
+counts of each kind from A to B. When both digests name their
 hosts and these differ, a ``hosts differ:`` line follows the header. A
 digest written before step counts or hosts were stored still diffs, without
 the step table or the host line. It exits 2 when an item's status differs or
@@ -148,6 +150,22 @@ def diff(args: argparse.Namespace) -> int:
         header += "\nhosts differ: " + "; ".join(
             f"{f} {ha.get(f)} -> {hb.get(f)}" for f in {**ha, **hb} if ha.get(f) != hb.get(f))
     print("\n".join([header, *lines]))
+    by_kind = defaultdict(list)  # kind -> (relative change, item, A's, B's products)
+    for key in a["items"].keys() & b["items"].keys():
+        ma, mb = a["items"][key]["mv_total"], b["items"][key]["mv_total"]
+        if ma != mb:
+            by_kind[key.split(" ", 1)[1]].append(((mb - ma) / max(ma, 1), key, ma, mb))
+    if by_kind:
+        print("items whose products moved, by kind, A -> B:")
+    for kind in sorted(by_kind):
+        changes = sorted(by_kind[kind])
+        fell = [c for c in changes if c[0] < 0]
+        rose = [c for c in changes if c[0] > 0]
+        parts = [f"fell {len(fell)}, rose {len(rose)}"]
+        for word, extreme in (("rise", rose[-1:]), ("fall", fell[:1])):
+            for rel, key, ma, mb in extreme:
+                parts.append(f"largest {word} {key} {ma} -> {mb} ({rel:+.1%})")
+        print(f"  {kind:<22} {'; '.join(parts)}")
     print("products summed over the suite, A -> B:")
     for kind in a["mv_totals"]:
         ma, mb = a["mv_totals"][kind], b["mv_totals"].get(kind, 0)

@@ -325,7 +325,7 @@ class _Run:
         elif abs(f - self._stall_f) >= _STALL_EPS * max(1.0, abs(self._stall_f)):
             self._stall_f = f
             self._stall_mv = self.mv
-        elif self.mv - self._stall_mv >= _STALL_MV:
+        elif split.vnorm == 0.0 or self.mv - self._stall_mv >= _STALL_MV:
             self.status = STATUS_STALLED
         if self.status is None and self.mv >= self.cfg.mv_budget:
             self.status = STATUS_BUDGET
@@ -355,8 +355,8 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
     A CG cycle starts from the split of a first-order step's point. It
     ends at a cutback, a curvature break or an accepted step that left the
     anchor's orthant, or when its test fails; the next step is then a
-    first-order one, whose "bb" line search starts from the BB steplength
-    of the last two accepted points, CG points included.
+    first-order one. Its "bb" line search starts from the BB steplength of
+    the last first-order step's own start and end point (1/L at the first).
     """
     op, b, tau = problem.op, problem.b, problem.tau
     run = _Run(problem, cfg, x0)
@@ -368,8 +368,9 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
     rho_tol = 1e-14 * (1.0 + float(np.linalg.norm(b)))
 
     window = ls_window(f)
-    x_prev = g_prev = st = None  # st: the open CG cycle
-    anchor = False               # a first-order step anchors a cycle (not istabb's)
+    alpha_bb = alpha_const  # the next line search's first steplength
+    st = None               # the open CG cycle
+    anchor = False          # a first-order step anchors a cycle (not istabb's)
 
     while run.status is None:
         # An unrecorded product (a curvature break) can use up the budget.
@@ -406,9 +407,9 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
                 stepper, step_name = ista_step, STEP_ISTA
             if cfg.alpha_policy == "bb":
                 try:
-                    alpha = bb_stepsize(x, x_prev, g, g_prev, alpha_const)
-                    res = bb_ls_step(problem, x, g, alpha, stepper, window, mv_left,
+                    res = bb_ls_step(problem, x, g, alpha_bb, stepper, window, mv_left,
                                      run.bound_alpha)
+                    alpha_bb = bb_stepsize(res.x, x, res.g, g, alpha_const)
                 except CurvatureBreak:
                     run.status = STATUS_UNBOUNDED
                     break
@@ -423,7 +424,6 @@ def _solve_iicg(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTra
                 ax = op.apply(x_new)
                 f_new, g_new = problem.objective(x_new, ax=ax), ax - b
             st, anchor = None, cfg.algorithm != "istabb"
-        x_prev, g_prev = x, g
         x, g, f = x_new, g_new, f_new
         sp = run.record(x, g, f, step_name)
     return run.finish()

@@ -82,11 +82,9 @@ def step_curvature(s, dg, x, g, alpha: float) -> tuple[float, float]:
 def bb_stepsize(x, x_prev, g, g_prev, fallback_alpha: float) -> float:
     """(s's) / (s'As) with s = x - x_prev and As = g - g_prev (zero products).
 
-    Returns ``fallback_alpha`` (= 1/L) on the first iteration (no previous
-    pair) or on a nonpositive curvature that :func:`step_curvature` lets pass.
+    Returns ``fallback_alpha`` (= 1/L) when s is zero or on a nonpositive
+    curvature that :func:`step_curvature` lets pass.
     """
-    if x_prev is None or g_prev is None:
-        return fallback_alpha
     curv, ss = step_curvature(x - x_prev, g - g_prev, x, g, fallback_alpha)
     if ss == 0.0 or curv <= 0.0:
         return fallback_alpha

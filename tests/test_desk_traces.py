@@ -76,6 +76,42 @@ def test_diff_exits_2_only_for_a_status_change_or_a_missing_item(tmp_path, capsy
         assert capsys.readouterr().out.splitlines()[1] == line
 
 
+def test_diff_counts_the_items_whose_products_fell_or_rose_in_each_kind(tmp_path, capsys):
+    def item(mv):
+        return {"sha256": str(mv), "status": "converged", "mv_total": mv, "mv_setup": 2,
+                "f_best": -1.0}
+
+    a = {"items": {"ens1 reference": item(100), "ens2 reference": item(72),
+                   "pns1 reference": item(50), "sgs1 reference": item(635),
+                   "ens1 iicg1 vnorm 1e-06": item(40), "pns1 iicg1 vnorm 1e-06": item(30),
+                   "ens1 fista vnorm 1e-06": item(9)},
+         "mv_totals": {"reference": 857, "iicg1 vnorm 1e-06": 70, "fista vnorm 1e-06": 9}}
+    b = json.loads(json.dumps(a))
+    for key, mv in (("ens1 reference", 110), ("ens2 reference", 87), ("pns1 reference", 45),
+                    ("sgs1 reference", 436), ("ens1 iicg1 vnorm 1e-06", 41)):
+        b["items"][key] = item(mv)
+    b["items"]["pns1 iicg1 vnorm 1e-06"]["sha256"] = "other"  # records only
+    b["mv_totals"].update({"reference": 678, "iicg1 vnorm 1e-06": 71})
+    paths = []
+    for name, digest in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(digest))
+    assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[1])) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "6 of 7 items differ, en 3, pn 2, sg 1"
+    at = out.index("items whose products moved, by kind, A -> B:")
+    assert out[at + 1:at + 3] == [
+        "  iicg1 vnorm 1e-06      fell 0, rose 1; largest rise ens1 iicg1 vnorm 1e-06 40 -> 41"
+        " (+2.5%)",
+        "  reference              fell 2, rose 2; largest rise ens2 reference 72 -> 87 (+20.8%);"
+        " largest fall sgs1 reference 635 -> 436 (-31.3%)",
+    ]
+    assert out[at + 3] == "products summed over the suite, A -> B:"
+    # no products moved: no such block
+    assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[0])) == 0
+    assert "products moved" not in capsys.readouterr().out
+
+
 def test_diff_names_the_hosts_when_they_differ(tmp_path, capsys):
     item = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
     old = {"items": {"ens1 reference": item}, "mv_totals": {"reference": 10}}

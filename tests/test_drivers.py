@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from conftest import solve_with_iterates
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ql1.drivers as drivers_mod
 import ql1.first_order
@@ -354,9 +357,11 @@ def test_fallback_pays_for_the_safe_bound_once(algorithm, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ("iicg1", "iicg2", "istabb"))
-def test_the_line_search_starts_from_the_last_two_accepted_points(algorithm, monkeypatch):
+def test_the_line_search_starts_from_the_last_first_order_steps_own_pair(algorithm,
+                                                                         monkeypatch):
     # the first trial's steplength is 1/L at the first step and otherwise
-    # the BB steplength of the last two accepted points, a CG point too
+    # the BB steplength of the last first-order step's start and end point,
+    # whatever CG points came after it
     p = gen_elastic_net(60, 100, 10.0, 0.1, 5.0, seed=0).problem
     split, bb_ls_step = drivers_mod.split_subgradient, drivers_mod.bb_ls_step
     points, calls = [], []
@@ -375,15 +380,16 @@ def test_the_line_search_starts_from_the_last_two_accepted_points(algorithm, mon
     tr, seen = solve_with_iterates(p, SolverConfig(algorithm=algorithm, tol=1e-8))
     assert tr.status == STATUS_CONVERGED
     assert all(x is y for (x, _), y in zip(points, seen, strict=True))
+    assert calls[0] == (0, 1.0 / tr.l_est)
     after_cg = 0
-    for i, alpha in calls:
-        if i == 0:
-            assert alpha == 1.0 / tr.l_est
-            continue
-        (x, g), (x_prev, g_prev) = points[i], points[i - 1]
+    for (j, _), (i, alpha) in zip(calls, calls[1:]):
+        (x, g), (x_prev, g_prev) = points[j + 1], points[j]
         assert alpha == bb_stepsize(x, x_prev, g, g_prev, 1.0 / tr.l_est), i
-        after_cg += tr.records[i - 1].step in ("CG", "CUTBACK")
-    assert calls[0][0] == 0 and len(calls) >= 10
+        # CG or CUTBACK points lie between the pair and x exactly when i > j + 1
+        cg_between = tr.records[i - 1].step in ("CG", "CUTBACK")
+        assert cg_between == (i > j + 1), i
+        after_cg += cg_between
+    assert len(calls) >= 10
     assert after_cg >= 3 if algorithm != "istabb" else after_cg == 0
 
 
@@ -412,19 +418,46 @@ def test_indefinite_operator_is_unbounded():
 
 
 def test_stalled_when_target_unreachable():
+    # F stops moving at the minimizer x = 1.5, whose subgradient is exactly 0
     p = QuadraticProblem(DenseOperator([[2.0]]), np.array([4.0]), 1.0)
     f_min = p.objective(np.array([1.5]))
-    tr = solve(
-        p,
-        SolverConfig(
-            algorithm="iicg2",
-            f_star=f_min - 10.0,  # below the true minimum
-            tol=1e-10,
-            mv_budget=40000,
-        ),
-    )
-    assert tr.status == STATUS_STALLED
-    assert tr.mv_total < 40000
+    empty = QuadraticProblem(DenseOperator(np.zeros((0, 0))), np.zeros(0), 0.5)
+    for algo, products in (("iicg1", 4), ("iicg2", 4), ("istabb", 4), ("fista", 21)):
+        tr = solve(
+            p,
+            SolverConfig(
+                algorithm=algo,
+                f_star=f_min - 10.0,  # below the true minimum
+                tol=1e-10,
+                mv_budget=40000,
+            ),
+        )
+        assert tr.status == STATUS_STALLED, algo
+        assert tr.mv_total == products and tr.f_best == f_min, algo
+        tr = solve(empty, SolverConfig(algorithm=algo, f_star=-1.0))
+        assert tr.status == STATUS_STALLED and tr.mv_total == 0 and tr.records == [], algo
+
+
+@st.composite
+def _diagonal_problem_minimized_at_zero(draw):
+    # |b_i| <= tau, so the subgradient of F at x = 0 holds 0 exactly
+    n = draw(st.integers(0, 6))
+    d = draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
+    tau = draw(st.floats(0.0, 10.0))
+    u = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    return QuadraticProblem(DenseOperator(np.diag(d)), tau * u, tau)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_diagonal_problem_minimized_at_zero())
+def test_a_start_at_an_exact_minimizer_ends_at_the_set_up(p):
+    # F cannot fall below F(0) = 0, so an f* of -1 stalls at once
+    for algo in ALGOS:
+        for policy in drivers_mod._POLICIES[algo]:
+            for f_star, status in ((-1.0, STATUS_STALLED), (None, STATUS_CONVERGED)):
+                tr = solve(p, SolverConfig(algorithm=algo, alpha_policy=policy, f_star=f_star))
+                assert tr.status == status, (algo, policy, f_star)
+                assert tr.mv_total == tr.mv_setup and tr.records == [], (algo, policy, f_star)
 
 
 def test_iicg_variants_coincide_after_identification():

@@ -149,7 +149,6 @@ def test_bb_stepsize_1d_quadratic():
 def test_bb_stepsize_fallbacks():
     x = np.array([1.0])
     g = np.array([0.5])
-    assert bb_stepsize(x, None, g, None, 0.25) == 0.25
     # zero displacement
     assert bb_stepsize(x, x, g, g, 0.25) == 0.25
     # nonpositive curvature no lower than -1e-8 * L * s's (L = 4): roundoff
@@ -203,10 +202,9 @@ def test_bb_ls_accepted_steps_satisfy_nonmonotone_bound():
     x = np.zeros(n)
     g = -p.b.copy()
     window = ls_window(0.0)
-    x_prev = g_prev = None
+    alpha = 1.0 / big_l  # then the BB steplength of each step's own pair
     for _ in range(60):
         ref = max(window)
-        alpha = bb_stepsize(x, x_prev, g, g_prev, 1.0 / big_l)
         res = bb_ls_step(p, x, g, alpha, ista_step, window, 1000, lambda: 1.0 / big_l)
         if not res.fallback:
             # the BB steplength, halved once per rejected trial
@@ -214,8 +212,7 @@ def test_bb_ls_accepted_steps_satisfy_nonmonotone_bound():
             assert np.array_equal(res.x, ista_step(x, g, p.tau, a))
             diff = x - res.x
             assert res.f <= ref - (a / 2) * LS_XI * float(diff @ diff) + 1e-12
-        x_prev, g_prev = x, g
-        x, g = res.x, res.g
+        x, g, alpha = res.x, res.g, bb_stepsize(res.x, x, res.g, g, 1.0 / big_l)
 
 
 def test_bb_ls_subspace_mode_freezes_zeros():
