@@ -1,3 +1,8 @@
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +56,15 @@ def _one_shot(b_mat, gamma, v):
     return b_mat.T @ (b_mat @ v) + (2.0 * gamma) * v
 
 
+def _block_sum(b_mat, gamma, v, rows):
+    """The serial blocked product: each block's term added in block order."""
+    want = (2.0 * gamma) * v
+    for start in range(0, b_mat.shape[0], rows):
+        blk = b_mat[start:start + rows]
+        want += (blk @ v) @ blk
+    return want
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 40), n=st.integers(1, 40), rows=st.integers(1, 42),
        gamma=st.sampled_from([0.0, 1e-3, 0.5, 7.0]), seed=st.integers(0, 2**32 - 1))
@@ -70,6 +84,7 @@ def test_blocked_factored_product(m, n, rows, gamma, seed):
         kept = first.copy()
         second = op.apply(v)
         assert op.mv_count == 2
+    assert np.array_equal(first, _block_sum(b_mat, gamma, v, rows))
     want = _one_shot(b_mat, gamma, v)
     if rows >= m:
         assert np.array_equal(first, want)
@@ -89,9 +104,7 @@ def test_blocked_product_thresholds():
     assert b_mat[:128].nbytes == problem_mod.BLOCK_BYTES
     one = np.ascontiguousarray(b_mat[:128])
     assert np.array_equal(FactoredOperator(one, 0.5).apply(v), _one_shot(one, 0.5, v))
-    want = 1.0 * v
-    for blk in (b_mat[:128], b_mat[128:]):
-        want += (blk @ v) @ blk
+    want = _block_sum(b_mat, 0.5, v, 128)
     assert np.array_equal(FactoredOperator(b_mat, 0.5).apply(v), want)
     # the operator stores B C-ordered, so the memory order of its input does not matter
     for other in (np.asfortranarray(b_mat), np.ascontiguousarray(b_mat[::-1])[::-1]):
@@ -101,6 +114,157 @@ def test_blocked_product_thresholds():
     assert np.array_equal(FactoredOperator(np.zeros((0, 3)), 0.5).apply([1.0, 2.0, 3.0]),
                           [1.0, 2.0, 3.0])
     assert FactoredOperator(np.zeros((4, 0)), 0.5).apply(np.zeros(0)).shape == (0,)
+
+
+class _PoolSpy:
+    """Stands in for the block pool: counts pools made and tasks submitted.
+
+    Each task runs at once on the submitting thread, so a test sees the
+    chunked product's bits without depending on thread timing.
+    """
+
+    def __init__(self):
+        self.made = 0
+        self.submits = 0
+
+    def __call__(self, **kwargs):
+        self.made += 1
+        return self
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_chunked_product_has_the_serial_bits(cpus):
+    # 1 to 17 blocks of 3 rows, with a full and a partial last block, and
+    # empty B; every product equals the serial loop bit for bit, through the
+    # process's pool and through a stand-in that sees one task per chunk
+    # after the first, which the caller computes.
+    rng = np.random.default_rng(cpus)
+    rows, n = 3, 5
+    shapes = [(3 * k - d, n) for k in range(1, 18) for d in (0, 1)] + [(0, n), (7, 0)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem_mod, "BLOCK_BYTES", rows * 8 * n)
+        mp.setattr(problem_mod, "_cpus", lambda: cpus)
+        for m, cols in shapes:
+            b_mat = rng.standard_normal((m, cols))
+            v = rng.standard_normal(cols)
+            op = FactoredOperator(b_mat, 0.5)
+            got = op.apply(v)
+            assert op.mv_count == 1
+            assert np.array_equal(got, _block_sum(b_mat, 0.5, v, rows)), (m, cols)
+            real, spy = problem_mod._pool, _PoolSpy()
+            mp.setattr(problem_mod, "_pool", spy)
+            assert np.array_equal(op.apply(v), got), (m, cols)
+            blocks = -(-m // rows) if cols else min(m, 1)
+            chunks = min(cpus, blocks // 2) if blocks >= 4 else 1
+            assert spy.submits == chunks - 1, (m, cols)
+            mp.setattr(problem_mod, "_pool", real)
+
+
+@pytest.mark.parametrize("cpus, shape", [
+    (1, (17 * 64, 2048)),   # 17 blocks, one CPU
+    (8, (256, 1024)),       # the desk suite's 2 MiB sg operator: 2 blocks
+    (8, (300, 1024)),       # 3 blocks
+    (8, (250, 500)),        # the desk suite's en operator: 1 block
+])
+def test_no_thread_where_none_helps(cpus, shape):
+    rng = np.random.default_rng(0)
+    b_mat = rng.standard_normal(shape)
+    v = rng.standard_normal(shape[1])
+    spy = _PoolSpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem_mod, "_cpus", lambda: cpus)
+        mp.setattr(problem_mod, "_pool", None)
+        mp.setattr(problem_mod, "ThreadPoolExecutor", spy)
+        got = FactoredOperator(b_mat, 0.5).apply(v)
+        assert (spy.made, spy.submits) == (0, 0)
+    rows = problem_mod.BLOCK_BYTES // (8 * shape[1])
+    assert np.array_equal(got, _block_sum(b_mat, 0.5, v, rows))
+
+
+def test_four_blocks_on_two_cpus_make_the_pool_and_use_it_once():
+    rng = np.random.default_rng(1)
+    b_mat = rng.standard_normal((4 * 64, 2048))
+    v = rng.standard_normal(2048)
+    spy = _PoolSpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem_mod, "_cpus", lambda: 2)
+        mp.setattr(problem_mod, "_pool", None)
+        mp.setattr(problem_mod, "ThreadPoolExecutor", spy)
+        got = FactoredOperator(b_mat, 0.5).apply(v)
+        FactoredOperator(b_mat, 0.5).apply(v)
+        assert (spy.made, spy.submits) == (1, 2)
+    assert np.array_equal(got, _block_sum(b_mat, 0.5, v, 64))
+
+
+def test_threads_may_share_an_operator():
+    # Two callers at once, each with its own products, on a pool that has
+    # fewer threads than the chunks it is given; a shortened switch interval
+    # makes the threads interleave often.
+    rng = np.random.default_rng(2)
+    rows, n, rounds = 4, 6, 30
+    b_mat = rng.standard_normal((16 * rows - 1, n))
+    vs = [rng.standard_normal(n) for _ in range(rounds)]
+    want = [_block_sum(b_mat, 0.5, v, rows) for v in vs]
+    op = FactoredOperator(b_mat, 0.5)
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def caller(i):
+        start.wait(timeout=30)
+        got[i] = [op.apply(v).tobytes() for v in vs]
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem_mod, "BLOCK_BYTES", rows * 8 * n)
+        mp.setattr(problem_mod, "_cpus", lambda: 3)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] == got[1] == [w.tobytes() for w in want]
+    assert op.mv_count == 2 * rounds
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_a_forked_child_makes_its_own_pool():
+    # The parent's pool threads do not exist in a forked child; a child that
+    # reused the pool would wait forever on its first chunked product.
+    rng = np.random.default_rng(4)
+    b_mat = rng.standard_normal((8 * 64, 2048))
+    v = rng.standard_normal(2048)
+    op = FactoredOperator(b_mat, 0.5)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem_mod, "_cpus", lambda: 2)
+        want = op.apply(v)
+        assert problem_mod._pool is not None
+        child = ctx.Process(target=lambda: send.send_bytes(op.apply(v).tobytes()))
+        child.start()
+        try:
+            arrived = recv.poll(timeout=60)
+            got = recv.recv_bytes() if arrived else None
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.terminate()
+                child.join(timeout=10)
+    assert arrived, "the forked child's product did not finish"
+    assert got == want.tobytes()
+    assert child.exitcode == 0
 
 
 def test_apply_dimension_mismatch():
