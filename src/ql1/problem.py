@@ -9,6 +9,7 @@ benchmark in this package.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -21,8 +22,9 @@ import numpy as np
 BLOCK_BYTES = 1024 * 1024
 
 
+@functools.cache
 def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on, read once."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -191,7 +193,7 @@ class FactoredOperator(CountingOperator):
         starts = range(0, b_mat.shape[0], rows)
         # At least two blocks per chunk: 2 or 3 blocks split in two ran
         # slower than one thread.
-        chunks = min(_cpus(), len(starts) // 2) if len(starts) >= 4 else 1
+        chunks = min(_cpus(), len(starts) // 2)
         first, rest = starts, []
         if chunks > 1:
             # chunk c holds starts[cuts[c]:cuts[c + 1]]

@@ -161,18 +161,20 @@ def test_chunked_product_has_the_serial_bits(cpus):
             mp.setattr(problem_mod, "_pool", spy)
             assert np.array_equal(op.apply(v), got), (m, cols)
             blocks = -(-m // rows) if cols else min(m, 1)
-            chunks = min(cpus, blocks // 2) if blocks >= 4 else 1
+            chunks = max(1, min(cpus, blocks // 2))
             assert spy.submits == chunks - 1, (m, cols)
             mp.setattr(problem_mod, "_pool", real)
 
 
-@pytest.mark.parametrize("cpus, shape", [
-    (1, (17 * 64, 2048)),   # 17 blocks, one CPU
-    (8, (256, 1024)),       # the desk suite's 2 MiB sg operator: 2 blocks
-    (8, (300, 1024)),       # 3 blocks
-    (8, (250, 500)),        # the desk suite's en operator: 1 block
+@pytest.mark.parametrize("cpus, shape, used", [
+    (1, (17 * 64, 2048), (0, 0)),   # 17 blocks, one CPU
+    (8, (256, 1024), (0, 0)),       # the desk suite's 2 MiB sg operator: 2 blocks
+    (8, (300, 1024), (0, 0)),       # 3 blocks
+    (8, (250, 500), (0, 0)),        # the desk suite's en operator: 1 block
+    (2, (4 * 64, 2048), (1, 2)),    # 4 blocks on two CPUs: one pool, one task a product
 ])
-def test_no_thread_where_none_helps(cpus, shape):
+def test_no_thread_where_none_helps(cpus, shape, used):
+    # two operators apply once each; `used` is (pools made, tasks submitted)
     rng = np.random.default_rng(0)
     b_mat = rng.standard_normal(shape)
     v = rng.standard_normal(shape[1])
@@ -182,24 +184,10 @@ def test_no_thread_where_none_helps(cpus, shape):
         mp.setattr(problem_mod, "_pool", None)
         mp.setattr(problem_mod, "ThreadPoolExecutor", spy)
         got = FactoredOperator(b_mat, 0.5).apply(v)
-        assert (spy.made, spy.submits) == (0, 0)
+        FactoredOperator(b_mat, 0.5).apply(v)
+        assert (spy.made, spy.submits) == used
     rows = problem_mod.BLOCK_BYTES // (8 * shape[1])
     assert np.array_equal(got, _block_sum(b_mat, 0.5, v, rows))
-
-
-def test_four_blocks_on_two_cpus_make_the_pool_and_use_it_once():
-    rng = np.random.default_rng(1)
-    b_mat = rng.standard_normal((4 * 64, 2048))
-    v = rng.standard_normal(2048)
-    spy = _PoolSpy()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(problem_mod, "_cpus", lambda: 2)
-        mp.setattr(problem_mod, "_pool", None)
-        mp.setattr(problem_mod, "ThreadPoolExecutor", spy)
-        got = FactoredOperator(b_mat, 0.5).apply(v)
-        FactoredOperator(b_mat, 0.5).apply(v)
-        assert (spy.made, spy.submits) == (1, 2)
-    assert np.array_equal(got, _block_sum(b_mat, 0.5, v, 64))
 
 
 def test_threads_may_share_an_operator():
