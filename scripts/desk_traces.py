@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-    python3 scripts/desk_traces.py write --out desk.json
-    python3 scripts/desk_traces.py diff parent.json desk.json
+    PYTHONPATH=src python3 scripts/desk_traces.py write --out desk.json
+    PYTHONPATH=src python3 scripts/desk_traces.py diff parent.json desk.json
 
 ``write`` generates the 48-instance desk suite in a temporary directory and
 solves 14 items on each instance, 672 in all:

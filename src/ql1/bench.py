@@ -1,10 +1,19 @@
 """Batch benchmark harness: suites, performance profiles, Pareto frontiers.
 
-Results use matrix-vector products as the primary work metric. Each
-suite solve stops at the first accepted step whose accuracy against f*
-meets the target, so a converged solve's product count is the work
-needed to reach it. Failures (budget exhausted or stalled before the
-target) follow the dash convention in CSV output.
+Results use matrix-vector products as the primary work metric. A suite
+row is the first accepted point (the start included) of its config's
+solve whose accuracy against f* meets the row's target, so a converged
+row's product count is the work needed to reach it. Failures (budget
+exhausted or stalled before the target) follow the dash convention in
+CSV output.
+
+A target changes only where a solve stops, so ``run_suite`` reads every
+row that one trajectory settles off that trajectory's trace: configs
+that differ only in their target share one solve, at the tightest
+target, and an iiCG-2 row at the reference's settings is read off the
+reference solve itself. A row read off a trace has the ``mv``, accuracy
+and status that a solve of its own would have had, and its ``seconds``
+are the time from that solve's beginning to the row's point.
 """
 
 from __future__ import annotations
@@ -12,15 +21,18 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from ql1.drivers import (
+    BUDGET_REACH,
     STATUS_CONVERGED,
+    RunTrace,
     SolverConfig,
     TraceRecord,
     accuracy,
+    reference_config,
     reference_objective,
     solve,
 )
@@ -47,10 +59,25 @@ def run_suite(
 
     The reference objective comes from ``f_stars`` when given (keyed by
     problem name), otherwise from a high-accuracy reference solve with
-    the largest ``mv_budget`` among the configs. ``mv`` is the solve's
-    product count when it converged within its budget, and None
-    otherwise. A missing or unreadable problem file produces per-row
-    error entries and the suite continues.
+    the largest ``mv_budget`` among the configs. ``mv`` is the product
+    count at which the config's solve first met its target, when it did
+    within its budget, and None otherwise. A missing or unreadable
+    problem file produces per-row error entries and the suite continues.
+
+    Each trajectory is solved once (module docstring). Configs that
+    differ only in ``tol`` and ``f_star`` form a group, solved at its
+    tightest tol; a looser row is that trace's first point within its
+    tol, and where the solve ended (``budget``, ``stalled`` or
+    ``unbounded``) before it, the row gets the same status and
+    ``f_best``. An iiCG-2 config equal to :func:`reference_config` but
+    for ``tol``, ``f_star`` and ``mv_budget`` is read off the reference
+    trace when its point comes more than ``BUDGET_REACH`` products
+    before the config's own budget, where the budget cannot yet have
+    shaped the trajectory; otherwise it is solved with its group. A
+    row's ``seconds`` run from the beginning of the solve it was read off
+    to its point (a record's ``t``, or the trace's ``t_setup`` at the
+    start); a row whose solve ended before its target has the solve's
+    wall time.
     """
     results: list[BenchResult] = []
     if not configs:
@@ -66,23 +93,68 @@ def run_suite(
                 for cfg in configs
             )
             continue
+        ref_traces: list[RunTrace] = []
         if f_stars is not None and row.problem in f_stars:
             f_star = f_stars[row.problem]
         else:
-            f_star = reference_objective(problem, ref_budget)
-        for cfg in configs:
-            t0 = time.perf_counter()
-            trace = solve(problem, replace(cfg, f_star=f_star))
-            seconds = time.perf_counter() - t0
-            # the run stops at the first record within tol; a set-up that
-            # alone exceeds the budget still fails
-            reached = trace.status == STATUS_CONVERGED and trace.mv_total <= cfg.mv_budget
-            mv = trace.mv_total if reached else None
-            acc = accuracy(trace.f_best, f_star)
-            results.append(
-                BenchResult(row.problem, cfg.algorithm, cfg.tol, mv, seconds, acc, trace.status)
-            )
+            f_star = reference_objective(problem, ref_budget, trace_out=ref_traces)
+        ref = (ref_traces[0], reference_config(ref_budget)) if ref_traces else None
+        results.extend(_problem_rows(row.problem, problem, configs, f_star, ref))
     return results
+
+
+def _problem_rows(name: str, problem, configs: list[SolverConfig], f_star: float,
+                  ref: tuple[RunTrace, SolverConfig] | None) -> list[BenchResult]:
+    """One problem's rows, in config order; ``ref`` is the reference's trace and config."""
+    rows: list[BenchResult | None] = [None] * len(configs)
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        if ref is not None:
+            ref_trace, ref_cfg = ref
+            if replace(cfg, tol=ref_cfg.tol, f_star=None, mv_budget=ref_cfg.mv_budget) == ref_cfg:
+                point = _first_within(ref_trace, f_star, cfg.tol)
+                if point is not None and point[0] < cfg.mv_budget - BUDGET_REACH:
+                    rows[i] = _reached(name, cfg, f_star, point)
+                    continue
+        groups.setdefault(astuple(replace(cfg, tol=1.0, f_star=None)), []).append(i)
+    for members in groups.values():
+        tightest = min(configs[i].tol for i in members)
+        t0 = time.perf_counter()
+        trace = solve(problem, replace(configs[members[0]], tol=tightest, f_star=f_star))
+        seconds = time.perf_counter() - t0
+        for i in members:
+            cfg = configs[i]
+            point = _first_within(trace, f_star, cfg.tol)
+            if point is not None:
+                rows[i] = _reached(name, cfg, f_star, point)
+            else:
+                # the solve ended before this target, as a solve of its own would
+                rows[i] = BenchResult(name, cfg.algorithm, cfg.tol, None, seconds,
+                                      accuracy(trace.f_best, f_star), trace.status)
+    return rows
+
+
+def _first_within(trace: RunTrace, f_star: float, tol: float) -> tuple[int, float, float] | None:
+    """(mv, t, best F so far) at the trace's first point within tol of f*, the
+    start included, or None when no point is."""
+    best = trace.f0
+    if accuracy(best, f_star) <= tol:
+        return trace.mv_setup, trace.t_setup, best
+    for rec in trace.records:
+        if rec.f < best:
+            best = rec.f
+        if accuracy(rec.f, f_star) <= tol:
+            return rec.mv, rec.t, best
+    return None
+
+
+def _reached(name: str, cfg: SolverConfig, f_star: float,
+             point: tuple[int, float, float]) -> BenchResult:
+    """The row of a config whose target was met at ``point`` (see :func:`_first_within`)."""
+    mv, seconds, f_best = point
+    # a set-up that alone exceeds the budget still fails
+    return BenchResult(name, cfg.algorithm, cfg.tol, mv if mv <= cfg.mv_budget else None,
+                       seconds, accuracy(f_best, f_star), STATUS_CONVERGED)
 
 
 @dataclass

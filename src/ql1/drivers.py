@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from ql1.cg import (
     sufficient_decrease,
 )
 from ql1.fileio import read_csv, write_csv
-from ql1.first_order import (bb_ls_step, bb_stepsize, ista_step, ls_window, step_curvature,
-                             subspace_ista_step)
+from ql1.first_order import (LS_MAX_HALVINGS, bb_ls_step, bb_stepsize, ista_step, ls_window,
+                             step_curvature, subspace_ista_step)
 from ql1.problem import CountingOperator, QuadraticProblem
 from ql1.rng import Rng
 # The five split helpers stay importable here for the benchmark's tracer.
@@ -77,6 +78,12 @@ _EIG_MAX_PRODUCTS = 200
 EIG_SHORT_PRODUCTS = 5
 _EIG_RTOL = 1e-5
 _EIG_INVARIANT = 1e-14
+
+# A step reads the products its budget has left only through the line
+# search's trial cap and the safe estimate's cap. So a record more than this
+# many products below the budget lies on the trajectory of the same solve
+# under any larger budget.
+BUDGET_REACH = _EIG_MAX_PRODUCTS + LS_MAX_HALVINGS
 
 
 @dataclass
@@ -143,6 +150,7 @@ class TraceRecord:
     f: float
     nnz: int
     step: str
+    t: float = field(default=0.0, compare=False)  # perf_counter seconds since the solve began
 
 
 @dataclass
@@ -150,7 +158,9 @@ class RunTrace:
     """Per-step history of one solve plus its outcome.
 
     ``f_best`` is F at the best point seen, the start included: the F of
-    ``final_x`` unless the solve converged.
+    ``final_x`` unless the solve converged. ``t_setup`` is the seconds from
+    the solve's beginning to its start's stop test, as a record's ``t`` is
+    to the record's.
     """
 
     records: list[TraceRecord]
@@ -162,6 +172,7 @@ class RunTrace:
     l_est: float        # the L it stepped at: a bound, except for a "bb" solve's short estimate
     mv_total: int       # products the solve charged, unrecorded ones included
     f_best: float
+    t_setup: float = 0.0
 
     @property
     def f_final(self) -> float:
@@ -247,6 +258,7 @@ class _Run:
     """
 
     def __init__(self, problem: QuadraticProblem, cfg: SolverConfig, x0):
+        self.t_begin = time.perf_counter()
         op = problem.op
         self.problem = problem
         self.cfg = cfg
@@ -308,12 +320,13 @@ class _Run:
     def record(self, x: np.ndarray, g: np.ndarray, f: float, step: str | None) -> SubgradientSplit:
         """Records an accepted point (None: the start, which gets no record),
         updates the status (set: the solve is over), and returns the point's split."""
+        t = time.perf_counter() - self.t_begin
         split = split_subgradient(x, g, self.problem.tau, self.alpha_bal)
         if step is None:
-            self.v0_norm = split.vnorm
+            self.v0_norm, self.t_setup = split.vnorm, t
         else:
             self.records.append(TraceRecord(mv=self.mv, k=len(self.records) + 1, f=f,
-                                            nnz=int(np.count_nonzero(x)), step=step))
+                                            nnz=int(np.count_nonzero(x)), step=step, t=t))
             if f < self.best_f:
                 self.best_f = f
                 self.best_x = x
@@ -346,6 +359,7 @@ class _Run:
             l_est=self.l_est,
             mv_total=self.mv,
             f_best=self.best_f,
+            t_setup=self.t_setup,
         )
 
 
@@ -474,14 +488,24 @@ def solve(problem: QuadraticProblem, cfg: SolverConfig, x0=None) -> RunTrace:
     return _solve_iicg(problem, cfg, x0=x0)
 
 
-def reference_objective(problem: QuadraticProblem, mv_budget: int = 50000) -> float:
+def reference_config(mv_budget: int = 50000) -> SolverConfig:
+    """The reference solve's config: iiCG-2 with subgradient-norm termination
+    at tol 1e-13 and four times the given budget."""
+    return SolverConfig(algorithm="iicg2", tol=1e-13, mv_budget=4 * mv_budget)
+
+
+def reference_objective(problem: QuadraticProblem, mv_budget: int = 50000, *,
+                        trace_out: list | None = None) -> float:
     """Best-known objective from a high-accuracy reference solve.
 
-    Runs iiCG-2 with subgradient-norm termination at tol 1e-13 and four
-    times the given budget, and returns the best objective seen.
+    Solves from the zero vector at :func:`reference_config` and returns the
+    best objective seen. The solve's RunTrace is appended to ``trace_out``
+    when it is given.
     """
-    cfg = SolverConfig(algorithm="iicg2", tol=1e-13, mv_budget=4 * mv_budget)
-    return solve(problem, cfg).f_best
+    trace = solve(problem, reference_config(mv_budget))
+    if trace_out is not None:
+        trace_out.append(trace)
+    return trace.f_best
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:

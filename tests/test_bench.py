@@ -1,7 +1,12 @@
 import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ql1.bench
 from ql1.bench import (
@@ -13,10 +18,18 @@ from ql1.bench import (
     run_suite,
     write_bench_csv,
 )
-from ql1.drivers import SolverConfig, TraceRecord, accuracy, reference_objective, solve
+from ql1.drivers import (
+    ALGORITHMS,
+    BUDGET_REACH,
+    SolverConfig,
+    TraceRecord,
+    accuracy,
+    reference_objective,
+    solve,
+)
 from ql1.fileio import ManifestRow, read_problem, write_problem
-from ql1.probgen import gen_strict_comp
-from ql1.problem import DenseOperator, QuadraticProblem
+from ql1.probgen import gen_elastic_net, gen_strict_comp
+from ql1.problem import DenseOperator, FactoredOperator, QuadraticProblem
 
 
 def _result(problem, solver, mv, tol=1e-4, seconds=0.0):
@@ -254,3 +267,142 @@ def test_alpha_sweep_requires_baseline(tmp_path):
         alpha_sweep_detail(manifest, [10.0])
     with pytest.raises(ValueError):
         alpha_sweep_detail(manifest, [0.5, 1.0])
+
+
+# -- rows read off a shared trace ---------------------------------------------
+
+
+def _own_row(problem, cfg, f_star):
+    """(mv, status, accuracy) of a config's row from a solve of its own."""
+    trace = solve(problem, replace(cfg, f_star=f_star))
+    reached = trace.status == "converged" and trace.mv_total <= cfg.mv_budget
+    return trace.mv_total if reached else None, trace.status, accuracy(trace.f_best, f_star)
+
+
+def _suite_against_own_solves(problem, configs, f_star=None):
+    """run_suite's rows on one problem, each checked against a solve of its config's own.
+
+    Returns the rows and the configs run_suite solved. With ``f_star`` None
+    the suite computes the reference itself, so iiCG-2 rows can be read
+    off its trace.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.ql1p"
+        write_problem(path, problem)
+        manifest = [ManifestRow("p", "custom", 0, "", str(path))]
+        solved = []
+        real_solve = ql1.bench.solve
+
+        def counting(problem, cfg, *args, **kwargs):
+            solved.append(cfg)
+            return real_solve(problem, cfg, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ql1.bench, "solve", counting)
+            rows = run_suite(manifest, configs, None if f_star is None else {"p": f_star})
+        problem = read_problem(path)
+    if f_star is None:
+        f_star = reference_objective(problem, max(cfg.mv_budget for cfg in configs))
+    assert [(r.solver, r.tol) for r in rows] == [(cfg.algorithm, cfg.tol) for cfg in configs]
+    for r, cfg in zip(rows, configs):
+        assert (r.mv, r.status, r.final_accuracy) == _own_row(problem, cfg, f_star), cfg
+    return rows, solved
+
+
+def _en_problem():
+    # iicg2 meets accuracy 1e-4 at 43 products and 1e-10 at 78; fista needs 300
+    # and more for 1e-10
+    return gen_elastic_net(30, 60, 10.0, 0.1, 5.0, seed=1).problem
+
+
+def test_suite_row_met_at_the_start_costs_the_set_up():
+    # tau >= ||b||_inf: x = 0 is the minimizer, and the reference stops at its start
+    problem = QuadraticProblem(DenseOperator(np.diag([1.0, 3.0])), np.array([0.5, -1.0]), 2.0)
+    configs = [SolverConfig(algorithm=a, tol=1e-4) for a in ("iicg2", "fista")]
+    rows, solved = _suite_against_own_solves(problem, configs)
+    assert [r.mv for r in rows] == [solve(problem, cfg).mv_setup for cfg in configs]
+    assert [cfg.algorithm for cfg in solved] == ["fista"]
+
+
+def test_suite_budget_ending_inside_a_group_fails_only_the_tighter_rows():
+    configs = _configs(["fista"], [1e-1, 1e-4, 1e-10], 300)
+    rows, solved = _suite_against_own_solves(_en_problem(), configs)
+    assert [r.status for r in rows] == ["converged", "converged", "budget"]
+    assert [cfg.tol for cfg in solved] == [1e-10]
+
+
+def test_suite_reads_iicg2_rows_off_the_reference_only_far_from_their_budget():
+    problem = _en_problem()
+    configs = _configs(["iicg2"], [1e-4, 1e-10], 2000) + _configs(["iicg2"], [1e-4, 1e-10], 300)
+    rows, solved = _suite_against_own_solves(problem, configs)
+    assert all(r.status == "converged" for r in rows)
+    # 43 products is within BUDGET_REACH of 300, so the 300 group is solved once
+    assert rows[2].mv == 43 >= 300 - BUDGET_REACH
+    assert [(cfg.mv_budget, cfg.tol) for cfg in solved] == [(300, 1e-10)]
+
+
+def test_suite_stalled_and_unbounded_groups_end_every_row_they_do_not_reach():
+    # an f* below the minimum is never reached: the solves stall
+    problem = QuadraticProblem(DenseOperator(np.diag([1.0, 2.0, 4.0])), np.array([1.0, -2.0, 3.0]),
+                               0.5)
+    f_min = reference_objective(problem)
+    configs = _configs(["iicg2", "istabb", "fista"], [1e-4, 1e-10], 5000)
+    rows, solved = _suite_against_own_solves(problem, configs, f_min - 1.0)
+    assert {r.status for r in rows} == {"stalled"} and len(solved) == 3
+    # a negative eigenvalue makes F unbounded below
+    problem = QuadraticProblem(DenseOperator(np.diag([1.0, -1.0])), np.array([1.0, 1.0]), 0.1)
+    rows, solved = _suite_against_own_solves(problem, configs, -1e300)
+    assert {r.status for r in rows} == {"unbounded"} and len(solved) == 3
+
+
+def test_suite_never_reads_a_bal_factor_row_off_the_reference():
+    configs = [SolverConfig(algorithm="iicg2", tol=1e-4, mv_budget=2000, bal_factor=f)
+               for f in (1.0, 10.0)]
+    _, solved = _suite_against_own_solves(_en_problem(), configs)
+    assert [cfg.bal_factor for cfg in solved] == [10.0]
+
+
+@st.composite
+def _suite_case(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["dense", "factored", "indefinite"]))
+    if kind == "factored":
+        b_mat = rng.standard_normal((draw(st.integers(1, 2 * n)), n))
+        op = FactoredOperator(b_mat, draw(st.sampled_from([0.0, 1e-3, 1.0])))
+    else:
+        raw = rng.standard_normal((n, n))
+        shift = -0.5 if kind == "indefinite" else draw(st.sampled_from([1e-3, 1.0]))
+        op = DenseOperator(raw @ raw.T + shift * np.eye(n))
+    b = 10.0 * rng.standard_normal(n)
+    problem = QuadraticProblem(op, b, draw(st.sampled_from([0.0, 0.1, 1.5])) * np.abs(b).max())
+    budgets = draw(st.lists(st.sampled_from([1, 30, 300, 2000]), min_size=1, max_size=2,
+                            unique=True))
+    tols = draw(st.lists(st.sampled_from([1e-1, 1e-4, 1e-10]), min_size=1, max_size=3,
+                         unique=True))
+    configs = [
+        SolverConfig(algorithm=a, tol=tol, mv_budget=budget,
+                     alpha_policy=draw(st.sampled_from([None, "constant"]))
+                     if a in ("iicg1", "iicg2") else None,
+                     bal_factor=draw(st.sampled_from([1.0, 1.0, 10.0])))
+        for a in draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True))
+        for budget in budgets
+        for tol in tols
+    ]
+    # None: the suite's own reference; else an f* offset from the minimum
+    offset = draw(st.sampled_from([None, None, 0.0, -1.0]))
+    return problem, configs, offset
+
+
+@settings(max_examples=40, deadline=None)
+@given(_suite_case())
+def test_suite_rows_equal_their_own_solves(case):
+    problem, configs, offset = case
+    f_star = None
+    if offset is not None:
+        f_ref = reference_objective(problem, max(cfg.mv_budget for cfg in configs))
+        f_star = f_ref + offset * (1.0 + abs(f_ref))
+    _, solved = _suite_against_own_solves(problem, configs, f_star)
+    groups = {(cfg.algorithm, cfg.alpha_policy, cfg.bal_factor, cfg.mv_budget)
+              for cfg in configs}
+    assert len(solved) <= len(groups)

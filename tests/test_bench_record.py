@@ -10,11 +10,13 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def _run(seed, wall, mv, correct=True, sha=None):
+def _run(seed, wall, mv, correct=True, sha=None, samples=None):
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "mv_total": {"value": mv, "unit": "count"}}
     info = {"workload": "w", "trace": 0, "mv_total": mv}
     if sha is not None:
         info["trace_sha256"] = sha
+    if samples is not None:
+        info["solve_samples"] = samples
     return {"seed": seed, "info": info,
             "result": {"correct": correct, "failed": 0 if correct else 1, "metrics": metrics}}
 
@@ -49,6 +51,15 @@ def test_compare_reports_trace_hashes_by_seed():
     b[1] = _run(2, 1.0, 5, sha="b" * 64)
     lines = bench_record.compare_workload("w", a, b, {})
     assert lines[-1] == "  trace_sha256 equal at all 2 seeds"
+
+
+def test_compare_reports_solve_counts_by_seed():
+    # seed 3 has no count on one side and is skipped
+    a = [_run(1, 1.0, 5, samples=144), _run(2, 1.0, 5, samples=144), _run(3, 1.0, 5)]
+    b = [_run(1, 1.0, 5, samples=144), _run(2, 1.0, 5, samples=96), _run(3, 1.0, 5, samples=96)]
+    lines = bench_record.compare_workload("w", a, b, {})
+    assert [line for line in lines if "solve_samples" in line] == [
+        "  seed 2: solve_samples 144 -> 96"]
 
 
 def test_failures_name_each_failed_run():

@@ -9,27 +9,31 @@ by the default test paths, so these tests keep them working.
 import importlib.util
 import re
 import shlex
+import sys
 from collections import Counter
 from pathlib import Path
 
+import ql1.bench
 import ql1.drivers
 from ql1.cli import build_parser
 from ql1.drivers import SolverConfig
+from ql1.fileio import ManifestRow, read_problem, write_problem
 from ql1.probgen import gen_elastic_net
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tracer_module():
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
-    return tracer_mod
+def _perfbench_module(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it loads
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_installs_and_uninstalls():
-    tracer_mod = _tracer_module()
+    tracer_mod = _perfbench_module("tracer")
     original = ql1.drivers.cutback_alpha
     tracer = tracer_mod.Tracer()
     tracer.install()
@@ -43,7 +47,7 @@ def test_tracer_installs_and_uninstalls():
 def test_traced_names_stay_on_the_call_path():
     # a loop that called a traced function other than through the name the
     # tracer wraps would zero that function's metrics without failing
-    tracer_mod = _tracer_module()
+    tracer_mod = _perfbench_module("tracer")
     p = gen_elastic_net(60, 100, 10.0, 0.1, 5.0, seed=0).problem
     before = p.op.mv_count
     tracer = tracer_mod.Tracer()
@@ -70,6 +74,39 @@ def test_traced_names_stay_on_the_call_path():
         assert spans[name] >= 1, name
     applies = sum(n for name, n in spans.items() if name.startswith("problem.apply."))
     assert applies == p.op.mv_count - before >= 1
+
+
+def test_run_suite_stays_on_the_traced_call_path(tmp_path):
+    # suite-pipeline records bench's read_problem, solve and reference_objective
+    # through (*args, **kwargs) wrappers, and its traced pass wraps the tracer's
+    # around them; the bench passes trace_out through both
+    workloads, tracer_mod = _perfbench_module("workloads"), _perfbench_module("tracer")
+    path = tmp_path / "p.ql1p"
+    write_problem(path, gen_elastic_net(30, 60, 10.0, 0.1, 5.0, seed=1).problem)
+    manifest = [ManifestRow("p", "elastic-net", 1, "", str(path))]
+    configs = [SolverConfig(algorithm=a, tol=1e-4, mv_budget=2000) for a in ("fista", "iicg2")]
+    ref = []
+    f_star = ql1.drivers.reference_objective(read_problem(path), 2000, trace_out=ref)
+    recorder = workloads.SuitePipeline(0, "tiny", tmp_path)
+    tracer = tracer_mod.Tracer()
+    try:
+        out = []
+        value = ql1.bench.reference_objective(read_problem(path), 2000, trace_out=out)
+        assert isinstance(value, float) and value == f_star
+        assert len(recorder.units) == 1 and out[0].mv_total == ref[0].mv_total
+        tracer.start(tracer_mod.PASS)
+        try:
+            rows = ql1.bench.run_suite(manifest, configs)
+        finally:
+            tracer.stop()
+    finally:
+        recorder.close()
+    spans = Counter(tracer.names[i] for i in tracer.name_id)
+    assert spans["bench.run_suite"] == 1 and spans["drivers.reference_objective"] == 1
+    assert tracer.counts[tracer_mod.PASS]["bench.reference.mv"] == ref[0].mv_total
+    assert all(r.status == "converged" for r in rows)
+    # the iicg2 row is read off the reference trace: only fista goes through solve
+    assert [t.mv_total for t in recorder.traces] == [rows[0].mv]
 
 
 def test_readme_quickstart_runs(capsys):
