@@ -1,17 +1,27 @@
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ql1.drivers import SolverConfig, solve
+from ql1.drivers import SolverConfig, reference_config, solve
 from ql1.probgen import gen_strict_comp
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "desk_traces.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "desk_traces.py"
 _spec = importlib.util.spec_from_file_location("desk_traces", SCRIPT)
 desk_traces = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(desk_traces)
+
+
+def diff(a, b, *flags):
+    """The exit code of ``desk_traces.py diff a b [flags]``."""
+    return desk_traces.main(["diff", str(a), str(b), *flags])
 
 
 def test_fourteen_items_per_instance():
@@ -42,9 +52,9 @@ def test_diff_lists_each_changed_item(tmp_path, capsys):
     for name, digest in (("a", a), ("b", b)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(digest))
-    assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[0])) == 0
+    assert diff(paths[0], paths[0]) == 0
     assert capsys.readouterr().out.startswith("0 of 3 items differ\n")
-    assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[1])) == 2
+    assert diff(paths[0], paths[1]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[:3] == ["2 of 3 items differ, en 1, sg 1",
                        "ens1 reference: records or final_x",
@@ -72,7 +82,7 @@ def test_diff_exits_2_only_for_a_status_change_or_a_missing_item(tmp_path, capsy
                               "ens1 reference: mv_total 10 -> 11; f_best -1.0 -> -1.5"),
                              ("a", "fewer", 2, "pns1 reference: only in A"),
                              ("fewer", "a", 2, "pns1 reference: only in B")):
-        assert desk_traces.diff(argparse.Namespace(a=paths[x], b=paths[y])) == code, (x, y)
+        assert diff(paths[x], paths[y]) == code, (x, y)
         assert capsys.readouterr().out.splitlines()[1] == line
 
 
@@ -96,7 +106,7 @@ def test_diff_counts_the_items_whose_products_fell_or_rose_in_each_kind(tmp_path
     for name, digest in (("a", a), ("b", b)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(digest))
-    assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[1])) == 1
+    assert diff(paths[0], paths[1]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "6 of 7 items differ, en 3, pn 2, sg 1"
     at = out.index("items whose products moved, by kind, A -> B:")
@@ -108,7 +118,7 @@ def test_diff_counts_the_items_whose_products_fell_or_rose_in_each_kind(tmp_path
     ]
     assert out[at + 3] == "products summed over the suite, A -> B:"
     # no products moved: no such block
-    assert desk_traces.diff(argparse.Namespace(a=paths[0], b=paths[0])) == 0
+    assert diff(paths[0], paths[0]) == 0
     assert "products moved" not in capsys.readouterr().out
 
 
@@ -122,11 +132,11 @@ def test_diff_names_the_hosts_when_they_differ(tmp_path, capsys):
     for name, digest in (("old", old), ("a", a), ("b", b)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(digest))
-    assert desk_traces.diff(argparse.Namespace(a=paths["a"], b=paths["b"])) == 0
+    assert diff(paths["a"], paths["b"]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == [
         "0 of 1 items differ", "hosts differ: numpy 2.4.6 -> 2.3.0; cpus 2 -> 8"]
     for x, y in (("a", "a"), ("old", "b"), ("a", "old")):
-        assert desk_traces.diff(argparse.Namespace(a=paths[x], b=paths[y])) == 0
+        assert diff(paths[x], paths[y]) == 0
         out = capsys.readouterr().out
         assert out.startswith("0 of 1 items differ\n") and "hosts differ" not in out
 
@@ -140,7 +150,7 @@ def test_diff_prints_step_counts_only_when_both_digests_have_them(tmp_path, caps
     for name, digest in (("old", old), ("a", a), ("b", b)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(digest))
-    assert desk_traces.diff(argparse.Namespace(a=paths["a"], b=paths["b"])) == 0
+    assert diff(paths["a"], paths["b"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-5:] == [
         "records of each step summed over the suite, A -> B:",
@@ -150,7 +160,7 @@ def test_diff_prints_step_counts_only_when_both_digests_have_them(tmp_path, caps
         "  reference              SUBISTA           0 ->        1  *",
     ]
     for x, y in (("old", "b"), ("a", "old")):
-        assert desk_traces.diff(argparse.Namespace(a=paths[x], b=paths[y])) == 0
+        assert diff(paths[x], paths[y]) == 0
         out = capsys.readouterr().out
         assert "records of each step" not in out and out.endswith(
             "  reference                    10 ->       10\n")
@@ -162,6 +172,7 @@ def test_write_stores_the_step_counts_of_each_kind(tmp_path, monkeypatch):
     rows = [argparse.Namespace(problem=name, path=None) for name in ("sct1", "sct2")]
     monkeypatch.setattr(desk_traces, "desk_suite", lambda tmp: rows)
     monkeypatch.setattr(desk_traces, "read_problem", lambda path: p)
+    monkeypatch.setattr(desk_traces, "LARGE_LASSO_SIZE", "tiny")
     out = tmp_path / "desk.json"
     assert desk_traces.write(argparse.Namespace(out=out)) == 0
     d = json.loads(out.read_text())
@@ -171,7 +182,80 @@ def test_write_stores_the_step_counts_of_each_kind(tmp_path, monkeypatch):
             steps = [rec.step for rec in tr.records]
             assert d["steps"][kind] == {s: 2 * steps.count(s) for s in set(steps)}, kind
             assert d["mv_totals"][kind] == 2 * tr.mv_total
-    assert len(d["items"]) == 28
+    assert d["items"]["sct1 reference"] == desk_traces.digest(solve(p, reference_config()))
+    assert len([key for key in d["items"] if key.startswith("sct")]) == 28
+    assert len(d["items"]) == 28 + 48
     assert d["host"] == desk_traces.host()
     assert set(d["host"]) == {"python", "numpy", "blas", "cpus"}
-    assert set(d["steps"]) == {kind for kind, _ in desk_traces.KINDS} | {desk_traces.REFERENCE}
+    lasso_kinds = {f"large-lasso {alg}" for alg in ("iicg1", "iicg2", "istabb")}
+    assert set(d["steps"]) == ({kind for kind, _ in desk_traces.KINDS} | {desk_traces.REFERENCE}
+                               | lasso_kinds)
+
+
+def test_write_adds_one_item_per_solve_of_a_large_lasso_pass(tmp_path, monkeypatch):
+    monkeypatch.setattr(desk_traces, "desk_suite", lambda tmp: [])
+    monkeypatch.setattr(desk_traces, "LARGE_LASSO_SIZE", "tiny")
+    out = tmp_path / "desk.json"
+    assert desk_traces.write(argparse.Namespace(out=out)) == 0
+    d = json.loads(out.read_text())
+    # the benchmark's own pass, built apart from the script
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    (tmp_path / "wl").mkdir()
+    wl = workloads.LargeLasso(0, "tiny", tmp_path / "wl")
+    wl.setup()
+    result = wl.run_pass()
+    keys = [f"lasso{5000 + 100 * i} large-lasso {alg}"
+            for i in range(16) for alg in ("iicg1", "iicg2", "istabb")]
+    assert list(d["items"]) == keys
+    assert [d["items"][key] for key in keys] == [desk_traces.digest(tr) for tr in result.traces]
+    assert sum(d["mv_totals"].values()) == result.mv_total
+    for i, alg in enumerate(("iicg1", "iicg2", "istabb")):
+        steps = [rec.step for tr in result.traces[i::3] for rec in tr.records]
+        assert d["steps"][f"large-lasso {alg}"] == {s: steps.count(s) for s in set(steps)}
+
+
+ITEM = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
+DESK, LASSO = "ens1 reference", "lasso5000 large-lasso iicg1"
+
+
+@pytest.mark.parametrize("key", [DESK, LASSO])
+@pytest.mark.parametrize("change, plain, labelled", [
+    ({}, 0, 0),
+    ({"sha256": "1"}, 1, 0),
+    ({"mv_total": 11}, 1, 0),
+    ({"f_best": -1.5}, 1, 0),
+    ({"status": "budget"}, 2, 2),
+    (None, 2, 2),  # the item is in only one digest
+])
+def test_each_branch_of_the_gate(tmp_path, capsys, key, change, plain, labelled):
+    a = {"items": {DESK: ITEM, LASSO: ITEM, "pns1 reference": ITEM},
+         "mv_totals": {"reference": 20, "large-lasso iicg1": 10}}
+    b = json.loads(json.dumps(a))
+    if change is None:
+        del b["items"][key]
+    else:
+        b["items"][key].update(change)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, digest in zip(paths, (a, b)):
+        path.write_text(json.dumps(digest))
+    for x, y in (paths, paths[::-1]):
+        assert diff(x, y) == plain
+        assert diff(x, y, "--may-change") == labelled
+    assert (f"{key}: " in capsys.readouterr().out) == (plain != 0)
+
+
+def test_an_unreadable_digest_fails_the_gate(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"items": {DESK: ITEM}, "mv_totals": {"reference": 10}}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, text in (("empty", ""), ("cut", good.read_text()[:20])):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(text)
+        for a, b in ((bad, good), (good, bad)):
+            proc = subprocess.run([sys.executable, str(SCRIPT), "diff", str(a), str(b),
+                                   "--may-change"], capture_output=True, text=True, env=env)
+            assert proc.returncode != 0 and "JSONDecodeError" in proc.stderr, (name, proc)
