@@ -6,35 +6,30 @@ Run from the repository root:
     PYTHONPATH=src python3 scripts/desk_traces.py diff parent.json desk.json [--may-change]
 
 ``write`` generates the 48-instance desk suite in a temporary directory and
-solves 14 items on each instance, 672 in all:
+solves 14 items on each, 672 in all: iicg1, iicg2, istabb and fista with
+the subgradient-norm stop at 1e-6 and at 1e-10; iicg1 and iicg2 with the
+constant steplength at 1e-8; the reference solve of ``reference_objective``;
+and fista, istabb and iicg2 stopped at accuracy 1e-4 against that f*. It
+adds the 48 solves of one pass of the benchmark's large-lasso at seed 0
+(``lasso5000 large-lasso iicg1`` and so on), 720 items in all, since no desk
+operator has the 4 row blocks that take the threaded product. The recipe is
+the ``perfbench/workloads.py`` beside the imported ``ql1``'s ``src``, so with
+``PYTHONPATH=$base/src`` it is the base's.
 
-- iicg1, iicg2, istabb and fista with the subgradient-norm stop at 1e-6
-  and at 1e-10;
-- iicg1 and iicg2 with the constant steplength at 1e-8;
-- the reference solve that ``reference_objective`` makes;
-- fista, istabb and iicg2 stopped at accuracy 1e-4 against that f*.
-
-It adds the 48 solves of one pass of ``perfbench/workloads.py``'s large-lasso
-at seed 0 (``lasso5000 large-lasso iicg1`` and so on), 720 items in all: no
-desk operator has the 4 row blocks that take the threaded product.
-
-For each item it stores the sha256 of the trace records and the
-``final_x`` bytes, the status, ``mv_total``, ``mv_setup`` and ``f_best``,
-and for each kind of item the products and the records of each step name
-(ISTA, SUBISTA, CG, CUTBACK, LSFALLBACK), summed over the instances. It
-also stores the host: the Python, numpy and BLAS versions and the CPU count.
-Rounding differs from host to host, so only digests written on one host
-compare item by item.
+For each item it stores the sha256 of the trace records and the ``final_x``
+bytes, the status, ``mv_total``, ``mv_setup`` and ``f_best``; for each kind,
+the products and the records of each step name, summed over the instances;
+and the host: Python, numpy and BLAS versions and the CPU count. Rounding
+differs from host to host, so only digests written on one host compare.
 
 ``diff A B`` lists every item whose entry differs; then, for each kind in
-which some item's products moved, how many items fell and how many rose,
-with the largest relative rise and fall; then the summed products and step
-counts of each kind from A to B. When both digests name their
-hosts and these differ, a ``hosts differ:`` line follows the header. A
-digest written before step counts or hosts were stored still diffs, without
-the step table or the host line. It exits 2 when an item's status differs or
-an item is in only one digest, 1 when items differ in anything else, and 0
-when the two digests agree; ``--may-change`` turns exit 1 into 0.
+which some item's products moved, how many items fell and rose, with the
+largest relative rise and fall; then each kind's summed products and step
+counts from A to B. A ``hosts differ:`` line follows the header when both
+digests name their hosts and these differ; a digest older than hosts or step
+counts diffs without them. It exits 2 when an item's status differs or an
+item is in only one digest, 1 when items differ in anything else (0 with
+``--may-change``), and 0 when the two digests agree.
 """
 
 from __future__ import annotations
@@ -69,7 +64,6 @@ KINDS = (
        for alg in ("fista", "istabb", "iicg2")]
 )
 REFERENCE = "reference"
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 LARGE_LASSO_SIZE = "full"  # the benchmark's own; tests use "tiny"
 
 
@@ -106,14 +100,21 @@ def solves(tmp):
                 cfg = replace(cfg, f_star=ref.f_best)
             yield f"{row.problem} {kind}", drivers.solve(problem, cfg)
         print(row.problem, file=sys.stderr, flush=True)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    names, result = large_lasso(LARGE_LASSO_SIZE, tmp)
+    yield from zip(names, result.traces, strict=True)
+
+
+def large_lasso(size: str, tmp):
+    # the recipe of the checkout whose ql1 is imported: the base's under PYTHONPATH=$base/src
+    path = Path(drivers.__file__).resolve().parents[2] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up while it loads
     spec.loader.exec_module(workloads)
-    wl = workloads.LargeLasso(0, LARGE_LASSO_SIZE, Path(tmp))
+    wl = workloads.LargeLasso(0, size, Path(tmp))
     wl.setup()
     names = [f"lasso{base} {wl.name} {alg}" for base, alg in product(wl.base_seeds, wl.solvers)]
-    yield from zip(names, wl.run_pass().traces, strict=True)
+    return names, wl.run_pass()
 
 
 def write(args: argparse.Namespace) -> int:
@@ -189,7 +190,7 @@ def diff(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    w = sub.add_parser("write", help="solve the desk suite and write its digest")
+    w = sub.add_parser("write", help="solve the desk suite and large-lasso, write the digest")
     w.add_argument("--out", required=True)
     d = sub.add_parser("diff", help="list the items in which two digests differ")
     d.add_argument("a")

@@ -2,12 +2,12 @@ import argparse
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from ql1.drivers import SolverConfig, reference_config, solve
 from ql1.probgen import gen_strict_comp
@@ -62,28 +62,45 @@ def test_diff_lists_each_changed_item(tmp_path, capsys):
     assert out[-1] == "  reference                    30 ->       32  *"
 
 
+ITEM = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
+DESK, LASSO = "ens1 reference", "lasso5000 large-lasso iicg1"
+
+
 def test_diff_exits_2_only_for_a_status_change_or_a_missing_item(tmp_path, capsys):
-    item = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
-    a = {"items": {"ens1 reference": item, "pns1 reference": item},
-         "mv_totals": {"reference": 20}}
-    records = json.loads(json.dumps(a))
-    records["items"]["ens1 reference"]["sha256"] = "1"
-    products = json.loads(json.dumps(a))
-    products["items"]["ens1 reference"].update(mv_total=11, f_best=-1.5)
-    fewer = json.loads(json.dumps(a))
-    del fewer["items"]["pns1 reference"]
+    a = {"items": {DESK: ITEM, "pns1 reference": ITEM, LASSO: ITEM},
+         "mv_totals": {"reference": 20, "large-lasso iicg1": 10}}
+    variants = {"a": (DESK, {}), "records": (DESK, {"sha256": "1"}),
+                "products": (DESK, {"mv_total": 11, "f_best": -1.5}),
+                "status": (DESK, {"status": "budget"}), "fewer": ("pns1 reference", None),
+                "lasso records": (LASSO, {"sha256": "1"}),
+                "lasso products": (LASSO, {"mv_total": 11}), "lasso f": (LASSO, {"f_best": -1.5}),
+                "lasso status": (LASSO, {"status": "budget"}), "lasso fewer": (LASSO, None)}
     paths = {}
-    for name, digest in (("a", a), ("records", records), ("products", products),
-                         ("fewer", fewer)):
+    for name, (key, change) in variants.items():
+        digest = json.loads(json.dumps(a))
+        if change is None:
+            del digest["items"][key]
+        else:
+            digest["items"][key].update(change)
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(digest))
-    for x, y, code, line in (("a", "records", 1, "ens1 reference: records or final_x"),
-                             ("a", "products", 1,
-                              "ens1 reference: mv_total 10 -> 11; f_best -1.0 -> -1.5"),
-                             ("a", "fewer", 2, "pns1 reference: only in A"),
-                             ("fewer", "a", 2, "pns1 reference: only in B")):
-        assert diff(paths[x], paths[y]) == code, (x, y)
-        assert capsys.readouterr().out.splitlines()[1] == line
+    # A, B, exit code without and with --may-change, the line naming the item
+    for x, y, plain, labelled, line in (
+            ("a", "a", 0, 0, "products summed over the suite, A -> B:"),
+            ("a", "records", 1, 0, "ens1 reference: records or final_x"),
+            ("a", "products", 1, 0, "ens1 reference: mv_total 10 -> 11; f_best -1.0 -> -1.5"),
+            ("a", "status", 2, 2, "ens1 reference: status converged -> budget"),
+            ("a", "fewer", 2, 2, "pns1 reference: only in A"),
+            ("fewer", "a", 2, 2, "pns1 reference: only in B"),
+            ("lasso records", "a", 1, 0, f"{LASSO}: records or final_x"),
+            ("a", "lasso products", 1, 0, f"{LASSO}: mv_total 10 -> 11"),
+            ("lasso f", "a", 1, 0, f"{LASSO}: f_best -1.5 -> -1.0"),
+            ("lasso status", "a", 2, 2, f"{LASSO}: status budget -> converged"),
+            ("a", "lasso fewer", 2, 2, f"{LASSO}: only in A"),
+            ("lasso fewer", "a", 2, 2, f"{LASSO}: only in B")):
+        for flags, code in (((), plain), (("--may-change",), labelled)):
+            assert diff(paths[x], paths[y], *flags) == code, (x, y, flags)
+            assert capsys.readouterr().out.splitlines()[1] == line
 
 
 def test_diff_counts_the_items_whose_products_fell_or_rose_in_each_kind(tmp_path, capsys):
@@ -198,19 +215,12 @@ def test_write_adds_one_item_per_solve_of_a_large_lasso_pass(tmp_path, monkeypat
     out = tmp_path / "desk.json"
     assert desk_traces.write(argparse.Namespace(out=out)) == 0
     d = json.loads(out.read_text())
-    # the benchmark's own pass, built apart from the script
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
+    # a second pass of the benchmark's own workload, set up apart from write's
     (tmp_path / "wl").mkdir()
-    wl = workloads.LargeLasso(0, "tiny", tmp_path / "wl")
-    wl.setup()
-    result = wl.run_pass()
+    names, result = desk_traces.large_lasso("tiny", tmp_path / "wl")
     keys = [f"lasso{5000 + 100 * i} large-lasso {alg}"
             for i in range(16) for alg in ("iicg1", "iicg2", "istabb")]
-    assert list(d["items"]) == keys
+    assert list(d["items"]) == names == keys
     assert [d["items"][key] for key in keys] == [desk_traces.digest(tr) for tr in result.traces]
     assert sum(d["mv_totals"].values()) == result.mv_total
     for i, alg in enumerate(("iicg1", "iicg2", "istabb")):
@@ -218,34 +228,30 @@ def test_write_adds_one_item_per_solve_of_a_large_lasso_pass(tmp_path, monkeypat
         assert d["steps"][f"large-lasso {alg}"] == {s: steps.count(s) for s in set(steps)}
 
 
-ITEM = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
-DESK, LASSO = "ens1 reference", "lasso5000 large-lasso iicg1"
-
-
-@pytest.mark.parametrize("key", [DESK, LASSO])
-@pytest.mark.parametrize("change, plain, labelled", [
-    ({}, 0, 0),
-    ({"sha256": "1"}, 1, 0),
-    ({"mv_total": 11}, 1, 0),
-    ({"f_best": -1.5}, 1, 0),
-    ({"status": "budget"}, 2, 2),
-    (None, 2, 2),  # the item is in only one digest
-])
-def test_each_branch_of_the_gate(tmp_path, capsys, key, change, plain, labelled):
-    a = {"items": {DESK: ITEM, LASSO: ITEM, "pns1 reference": ITEM},
-         "mv_totals": {"reference": 20, "large-lasso iicg1": 10}}
-    b = json.loads(json.dumps(a))
-    if change is None:
-        del b["items"][key]
-    else:
-        b["items"][key].update(change)
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for path, digest in zip(paths, (a, b)):
-        path.write_text(json.dumps(digest))
-    for x, y in (paths, paths[::-1]):
-        assert diff(x, y) == plain
-        assert diff(x, y, "--may-change") == labelled
-    assert (f"{key}: " in capsys.readouterr().out) == (plain != 0)
+def test_write_runs_the_large_lasso_recipe_beside_the_imported_ql1(tmp_path, monkeypatch):
+    # two copies of the checkout, as CI digests its base: one as it is, and one
+    # whose recipe solves to 1e-6; each is written with PYTHONPATH at its own src
+    recipe = (ROOT / "perfbench" / "workloads.py").read_text()
+    assert recipe.count("    tol = 1e-8\n") == 1
+    write_tiny = ("import sys; sys.path.insert(0, sys.argv[1]); import desk_traces as d; "
+                  "d.LARGE_LASSO_SIZE = 'tiny'; d.desk_suite = lambda tmp: []; "
+                  "sys.exit(d.main(['write', '--out', sys.argv[2]]))")
+    for name, tol in (("same", "1e-8"), ("looser", "1e-6")):
+        base = tmp_path / name
+        shutil.copytree(ROOT / "src" / "ql1", base / "src" / "ql1",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (base / "perfbench").mkdir()
+        (base / "perfbench" / "workloads.py").write_text(
+            recipe.replace("    tol = 1e-8\n", f"    tol = {tol}\n"))
+        subprocess.run([sys.executable, "-c", write_tiny, str(SCRIPT.parent),
+                        str(tmp_path / f"{name}.json")],
+                       cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(base / "src")), check=True)
+    monkeypatch.setattr(desk_traces, "desk_suite", lambda tmp: [])
+    monkeypatch.setattr(desk_traces, "LARGE_LASSO_SIZE", "tiny")
+    assert desk_traces.write(argparse.Namespace(out=tmp_path / "head.json")) == 0
+    assert diff(tmp_path / "same.json", tmp_path / "head.json") == 0
+    assert diff(tmp_path / "looser.json", tmp_path / "head.json") == 1
+    assert diff(tmp_path / "looser.json", tmp_path / "head.json", "--may-change") == 0
 
 
 def test_an_unreadable_digest_fails_the_gate(tmp_path):
