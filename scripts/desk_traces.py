@@ -19,8 +19,10 @@ the ``perfbench/workloads.py`` beside the imported ``ql1``'s ``src``, so with
 For each item it stores the sha256 of the trace records and the ``final_x``
 bytes, the status, ``mv_total``, ``mv_setup`` and ``f_best``; for each kind,
 the products and the records of each step name, summed over the instances;
-and the host: Python, numpy and BLAS versions and the CPU count. Rounding
-differs from host to host, so only digests written on one host compare.
+and the host: Python, numpy and BLAS versions, the CPU count and the BLAS
+thread variables (``OPENBLAS_NUM_THREADS`` and the like, None when unset).
+Rounding differs from host to host, so only digests written on one host
+compare.
 
 ``diff A B`` lists every item whose entry differs; then, for each kind in
 which some item's products moved, how many items fell and rose, with the
@@ -64,6 +66,7 @@ KINDS = (
        for alg in ("fista", "istabb", "iicg2")]
 )
 REFERENCE = "reference"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LARGE_LASSO_SIZE = "full"  # the benchmark's own; tests use "tiny"
 
 
@@ -77,14 +80,19 @@ def digest(trace: RunTrace) -> dict:
 
 
 def host() -> dict:
-    """What decides a digest's rounding, besides the code: the host's numerics."""
+    """What decides a digest's rounding, besides the code: the host's numerics.
+
+    BLAS's thread count changes how its sums are split: a digest written
+    with ``OPENBLAS_NUM_THREADS=1`` differs from the default in most
+    strict-comp items.
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):  # numpy before 1.25 has no dict form
         blas = "unknown"
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "cpus": os.cpu_count()}
+            "cpus": os.cpu_count(), **{var: os.environ.get(var) for var in BLAS_THREADS}}
 
 
 def solves(tmp):
@@ -153,9 +161,11 @@ def diff(args: argparse.Namespace) -> int:
     header = f"{len(lines)} of {len(b['items'])} items differ" + "".join(
         f", {fam} {n}" for fam, n in sorted(families.items()))
     ha, hb = a.get("host"), b.get("host")
-    if ha and hb and ha != hb:
-        header += "\nhosts differ: " + "; ".join(
-            f"{f} {ha.get(f)} -> {hb.get(f)}" for f in {**ha, **hb} if ha.get(f) != hb.get(f))
+    if ha and hb:
+        # a field a digest predates reads as None, as an unset variable does
+        moved = [f"{f} {ha.get(f)} -> {hb.get(f)}" for f in {**ha, **hb} if ha.get(f) != hb.get(f)]
+        if moved:
+            header += "\nhosts differ: " + "; ".join(moved)
     print("\n".join([header, *lines]))
     by_kind = defaultdict(list)  # kind -> (relative change, item, A's, B's products)
     for key in a["items"].keys() & b["items"].keys():

@@ -45,7 +45,8 @@ def _block_terms(b_mat: np.ndarray, v: np.ndarray, starts: range, rows: int) -> 
 
 
 # The threads that compute row blocks of large factored products for every
-# operator in the process, made on first use; see FactoredOperator._matvec.
+# operator in the process, and ranges of large normal draws (ql1.rng), made on
+# first use; see FactoredOperator._matvec and Rng.normals.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -66,7 +67,7 @@ def _block_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            # the calling thread computes one chunk itself
+            # the calling thread computes one chunk or range itself
             _pool = ThreadPoolExecutor(max_workers=max(1, _cpus() - 1),
                                        thread_name_prefix="ql1-blocks")
         return _pool

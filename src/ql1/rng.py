@@ -9,6 +9,15 @@ discarded.
 
 Bulk draws run in cache-sized chunks of ``_CHUNK`` values through
 reused work buffers, so their peak memory is the output plus O(chunk).
+A normals draw of ``_SPLIT`` values or more (a 1000-by-2000 design
+matrix is 2,000,000) is split into one contiguous range per CPU: the
+calling thread fills the first and the thread pool of ``ql1.problem``
+the rest, in chunks of ``_WIDE_CHUNK``, since at ``_CHUNK`` the threads
+spend their time waiting for the interpreter lock. Each range draws its
+own stream positions, so the bits and the final state do not depend on
+the CPU count. Such a draw needs two 192 KiB work buffers per range and
+one shared, 960 KiB beyond the output on two CPUs. Smaller draws and
+one-CPU hosts start no thread.
 """
 
 from __future__ import annotations
@@ -17,12 +26,19 @@ import math
 
 import numpy as np
 
+from ql1 import problem
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _CHUNK = 8192  # values per bulk step; its 64 KiB work buffers stay in L2
+_SPLIT = 1 << 20  # normals draws this large are split across the CPUs
+# values per bulk step of a split draw; 4 * _CHUNK drew 10% faster on two
+# CPUs but added 1.4 MB to large-lasso's peak RSS, its draws' work buffers
+# being live at the peak
+_WIDE_CHUNK = 3 * _CHUNK
 
 
 def _unit_from(z: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
@@ -83,27 +99,53 @@ class Rng:
         """Vectorized ``normal``; identical stream to repeated scalar calls.
 
         Draws run in chunks of ``_CHUNK`` normals, so the peak memory is
-        the output plus O(chunk). Normal i takes u1 from stream position
-        2i+1 and u2 from 2i+2. The fast path assumes no u1 draw is
-        exactly zero (probability 2^-53 per draw); if one is, it falls
+        the output plus O(chunk). A draw of ``_SPLIT`` normals or more is
+        split into ``cpus`` contiguous ranges, filled in chunks of
+        ``_WIDE_CHUNK`` by the calling thread (the first) and the thread
+        pool of ``ql1.problem`` (the rest), each with two work buffers of
+        a chunk; the bits and the final state are those of the one-thread
+        draw on any CPU count. Normal i takes u1 from stream position 2i+1 and u2
+        from 2i+2. The fast path assumes no u1 draw is exactly zero
+        (probability 2^-53 per draw); if one is, in any range, it falls
         back to the scalar loop from the starting state so redraw
         semantics stay exact.
         """
         out = np.empty(count)
-        c0 = min(count, _CHUNK)
-        odd = np.arange(1, 2 * c0, 2, dtype=np.uint64) * np.uint64(_GAMMA)
-        even = odd + np.uint64(_GAMMA)
-        z, tmp = np.empty_like(odd), np.empty_like(odd)
-        u2 = np.empty(c0)
-        for lo in range(0, count, _CHUNK):
-            c = min(_CHUNK, count - lo)
-            r, theta = out[lo : lo + c], u2[:c]
-            base = self._base(2 * lo)
-            np.add(odd[:c], base, out=z[:c])
-            _unit_from(z[:c], tmp[:c], r)
-            if not r.all():  # a zero u1 is redrawn, which shifts the stream
-                return np.array([self.normal() for _ in range(count)])
-            np.add(even[:c], base, out=z[:c])
+        ranges, chunk = 1, _CHUNK
+        if count >= _SPLIT:
+            ranges, chunk = problem._cpus(), _WIDE_CHUNK
+        odd = np.arange(1, 2 * min(count, chunk), 2, dtype=np.uint64) * np.uint64(_GAMMA)
+        cuts = [r * count // ranges for r in range(ranges + 1)]
+        rest = []
+        if ranges > 1:
+            pool = problem._block_pool()
+            rest = [pool.submit(self._fill_normals, out, odd, lo, hi)
+                    for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        filled = [self._fill_normals(out, odd, 0, cuts[1])]
+        filled += [future.result() for future in rest]
+        if not all(filled):  # a zero u1 is redrawn, which shifts the stream
+            return np.array([self.normal() for _ in range(count)])
+        self.state = (self.state + 2 * count * _GAMMA) & _MASK
+        return out
+
+    def _fill_normals(self, out: np.ndarray, odd: np.ndarray, lo: int, hi: int) -> bool:
+        """Normals lo to hi - 1 into out[lo:hi], in chunks of len(odd).
+
+        ``odd`` holds (2j + 1) * GAMMA for each j in a chunk. Returns False,
+        leaving the range unfinished, at the first u1 that is exactly 0.
+        """
+        chunk = max(1, len(odd))  # odd is empty for an empty draw
+        z = np.empty(min(chunk, hi - lo), dtype=np.uint64)
+        tmp = np.empty_like(z)
+        for start in range(lo, hi, chunk):
+            c = min(chunk, hi - start)
+            # u1 is finalised with r's own memory as scratch, u2 into tmp's
+            r, theta = out[start : start + c], tmp[:c].view(np.float64)
+            np.add(odd[:c], self._base(2 * start), out=z[:c])
+            _unit_from(z[:c], r.view(np.uint64), r)
+            if not r.all():
+                return False
+            np.add(odd[:c], self._base(2 * start + 1), out=z[:c])
             _unit_from(z[:c], tmp[:c], theta)
             np.log(r, out=r)
             r *= -2.0
@@ -111,5 +153,4 @@ class Rng:
             theta *= 2.0 * math.pi
             np.cos(theta, out=theta)
             r *= theta
-        self.state = (self.state + 2 * count * _GAMMA) & _MASK
-        return out
+        return True

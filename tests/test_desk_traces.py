@@ -142,17 +142,25 @@ def test_diff_counts_the_items_whose_products_fell_or_rose_in_each_kind(tmp_path
 def test_diff_names_the_hosts_when_they_differ(tmp_path, capsys):
     item = {"sha256": "0", "status": "converged", "mv_total": 10, "mv_setup": 2, "f_best": -1.0}
     old = {"items": {"ens1 reference": item}, "mv_totals": {"reference": 10}}
-    here = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31", "cpus": 2}
+    before = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31", "cpus": 2}
+    here = dict(before, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None, MKL_NUM_THREADS=None)
     a = dict(old, host=here)
     b = dict(old, host=dict(here, numpy="2.3.0", cpus=8))
+    one_thread = dict(old, host=dict(here, OPENBLAS_NUM_THREADS="1"))
+    # a host recorded before the BLAS thread variables reads them as unset
+    pre = dict(old, host=before)
     paths = {}
-    for name, digest in (("old", old), ("a", a), ("b", b)):
+    for name, digest in (("old", old), ("a", a), ("b", b), ("one", one_thread), ("pre", pre)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(digest))
     assert diff(paths["a"], paths["b"]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == [
         "0 of 1 items differ", "hosts differ: numpy 2.4.6 -> 2.3.0; cpus 2 -> 8"]
-    for x, y in (("a", "a"), ("old", "b"), ("a", "old")):
+    for x in ("a", "pre"):
+        assert diff(paths[x], paths["one"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "0 of 1 items differ", "hosts differ: OPENBLAS_NUM_THREADS None -> 1"]
+    for x, y in (("a", "a"), ("old", "b"), ("a", "old"), ("pre", "a"), ("a", "pre")):
         assert diff(paths[x], paths[y]) == 0
         out = capsys.readouterr().out
         assert out.startswith("0 of 1 items differ\n") and "hosts differ" not in out
@@ -203,7 +211,8 @@ def test_write_stores_the_step_counts_of_each_kind(tmp_path, monkeypatch):
     assert len([key for key in d["items"] if key.startswith("sct")]) == 28
     assert len(d["items"]) == 28 + 48
     assert d["host"] == desk_traces.host()
-    assert set(d["host"]) == {"python", "numpy", "blas", "cpus"}
+    assert set(d["host"]) == {"python", "numpy", "blas", "cpus", "OPENBLAS_NUM_THREADS",
+                              "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     lasso_kinds = {f"large-lasso {alg}" for alg in ("iicg1", "iicg2", "istabb")}
     assert set(d["steps"]) == ({kind for kind, _ in desk_traces.KINDS} | {desk_traces.REFERENCE}
                                | lasso_kinds)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ql1 import problem as problem_mod
 from ql1.problem import DenseOperator, FactoredOperator, QuadraticProblem
+from ql1.rng import _SPLIT, Rng
 
 
 def test_apply_identity():
@@ -227,20 +228,23 @@ def test_threads_may_share_an_operator():
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork on this platform")
-def test_a_forked_child_makes_its_own_pool():
+@pytest.mark.parametrize("work", ["product", "normals"])
+def test_a_forked_child_makes_its_own_pool(work):
     # The parent's pool threads do not exist in a forked child; a child that
-    # reused the pool would wait forever on its first chunked product.
+    # reused the pool would wait forever on its first chunked product or
+    # split normals draw.
     rng = np.random.default_rng(4)
     b_mat = rng.standard_normal((8 * 64, 2048))
     v = rng.standard_normal(2048)
     op = FactoredOperator(b_mat, 0.5)
+    run = {"product": lambda: op.apply(v), "normals": lambda: Rng(4).normals(_SPLIT)}[work]
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(problem_mod, "_cpus", lambda: 2)
-        want = op.apply(v)
+        want = run()
         assert problem_mod._pool is not None
-        child = ctx.Process(target=lambda: send.send_bytes(op.apply(v).tobytes()))
+        child = ctx.Process(target=lambda: send.send_bytes(run().tobytes()))
         child.start()
         try:
             arrived = recv.poll(timeout=60)
@@ -250,7 +254,7 @@ def test_a_forked_child_makes_its_own_pool():
             if child.is_alive():
                 child.terminate()
                 child.join(timeout=10)
-    assert arrived, "the forked child's product did not finish"
+    assert arrived, f"the forked child's {work} did not finish"
     assert got == want.tobytes()
     assert child.exitcode == 0
 

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ql1.rng import _CHUNK, _GAMMA, _MASK, Rng
+from ql1 import problem as problem_mod
+from ql1.rng import _CHUNK, _GAMMA, _MASK, _SPLIT, Rng
 
 # First four outputs of the published SplitMix64 algorithm, computed
 # with an independent transcription and cross-checked against the
@@ -141,26 +142,77 @@ def test_chunked_draws_match_scalar_across_chunk_boundaries(count):
     _assert_normals_match_scalar(2024, count)
 
 
-def test_zero_u1_in_a_later_chunk_falls_back_to_scalar():
+class _CountingPool:
+    """Passes tasks to the real block pool and counts them."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        return self.pool.submit(fn, *args)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("count", [_SPLIT - 1, _SPLIT, _SPLIT + 1, 2_000_000])
+def test_split_normals_have_the_serial_bits(count, cpus, monkeypatch):
+    # Vectorized uniforms are bit-tested against the scalar stream above, so
+    # their pairs stand in for it here; only a draw of _SPLIT or more on more
+    # than one CPU gives the pool one range for each CPU after the first.
+    spy = _CountingPool(problem_mod._block_pool())
+    monkeypatch.setattr(problem_mod, "_cpus", lambda: cpus)
+    monkeypatch.setattr(problem_mod, "_block_pool", lambda: spy)
+    seed = 2024
+    rng = Rng(seed)
+    batch = rng.normals(count)
+    u = Rng(seed).uniforms(2 * count)
+    whole = np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+    assert batch.tobytes() == whole.tobytes()
+    assert rng.state == (seed + 2 * count * _GAMMA) & _MASK
+    assert spy.submits == (cpus - 1 if count >= _SPLIT else 0)
+
+
+@pytest.mark.parametrize("i, count, cpus", [
+    pytest.param(_CHUNK + 5, 2 * _CHUNK + 3, None, id="later-chunk"),
+    pytest.param(_SPLIT // 2 + 5, _SPLIT, 2, id="pool-range"),  # not the caller's range
+])
+def test_zero_u1_in_a_later_chunk_falls_back_to_scalar(i, count, cpus, monkeypatch):
     # this seed puts stream position 2i+1 at state 0, whose output is 0,
     # so normal i has u1 exactly 0.0 and is redrawn
-    i = _CHUNK + 5
+    if cpus is not None:
+        monkeypatch.setattr(problem_mod, "_cpus", lambda: cpus)
     seed = (-(2 * i + 1) * _GAMMA) & _MASK
     probe = Rng(seed)
     probe.state = (seed + 2 * i * _GAMMA) & _MASK
     assert probe.uniform() == 0.0
-    count = 2 * _CHUNK + 3
-    rng_a = Rng(seed)
-    rng_b = Rng(seed)
-    batch = rng_a.normals(count)
-    loop = np.array([rng_b.normal() for _ in range(count)])
+    rng = Rng(seed)
+    batch = rng.normals(count)
+    assert rng.state == (seed + (2 * count + 1) * _GAMMA) & _MASK  # one extra draw
+    # The scalar loop, with its libm log and cos, on the stream without the
+    # zero: a second loop of normal() would double this test's time.
+    u = Rng(seed).uniforms(2 * count + 1).tolist()
+    del u[2 * i]
+    loop = np.array([math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                     for u1, u2 in zip(u[0::2], u[1::2])])
     assert batch.tobytes() == loop.tobytes()
-    assert rng_a.state == rng_b.state
-    assert rng_a.state == (seed + (2 * count + 1) * _GAMMA) & _MASK  # one extra draw
 
 
 def test_normals_peak_memory_is_about_the_output():
     count = 10**6
+    tracemalloc.start()
+    try:
+        Rng(0).normals(count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * count
+
+
+def test_split_normals_peak_memory_is_about_the_output(monkeypatch):
+    # four ranges, each with its own two work buffers of _WIDE_CHUNK values
+    monkeypatch.setattr(problem_mod, "_cpus", lambda: 4)
+    count = 2_000_000
     tracemalloc.start()
     try:
         Rng(0).normals(count)
