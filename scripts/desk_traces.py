@@ -19,8 +19,9 @@ the ``perfbench/workloads.py`` beside the imported ``ql1``'s ``src``, so with
 For each item it stores the sha256 of the trace records and the ``final_x``
 bytes, the status, ``mv_total``, ``mv_setup`` and ``f_best``; for each kind,
 the products and the records of each step name, summed over the instances;
-and the host: Python, numpy and BLAS versions, the CPU count and the BLAS
-thread variables (``OPENBLAS_NUM_THREADS`` and the like, None when unset).
+and the host: Python, numpy and BLAS versions, the number of CPUs the
+process may run on and the BLAS thread variables (``OPENBLAS_NUM_THREADS``
+and the like, None when unset).
 Rounding differs from host to host, so only digests written on one host
 compare.
 
@@ -52,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 import ql1.drivers as drivers
+import ql1.problem
 from ql1.drivers import RunTrace, SolverConfig
 from ql1.fileio import read_problem
 from ql1.probgen import desk_suite
@@ -84,7 +86,9 @@ def host() -> dict:
 
     BLAS's thread count changes how its sums are split: a digest written
     with ``OPENBLAS_NUM_THREADS=1`` differs from the default in most
-    strict-comp items.
+    strict-comp items. OpenBLAS sizes its threads by the CPUs the process
+    may run on, so ``cpus`` counts those, as ``ql1.problem`` does, and not
+    ``os.cpu_count()``, which ``taskset`` leaves unchanged.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -92,7 +96,7 @@ def host() -> dict:
     except (TypeError, KeyError):  # numpy before 1.25 has no dict form
         blas = "unknown"
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "cpus": os.cpu_count(), **{var: os.environ.get(var) for var in BLAS_THREADS}}
+            "cpus": ql1.problem._cpus(), **{var: os.environ.get(var) for var in BLAS_THREADS}}
 
 
 def solves(tmp):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ql1.cg import NEG_CURV, CurvatureBreak
 from ql1.problem import QuadraticProblem
-from ql1.subgrad import soft_threshold
+from ql1.subgrad import checked_pair, soft_threshold
 
 
 def ista_step(x, g, tau: float, alpha: float) -> np.ndarray:
@@ -26,12 +26,7 @@ def ista_step(x, g, tau: float, alpha: float) -> np.ndarray:
     Equals x - alpha*(release + support_map) of ``split_subgradient``: the
     minimizer of the separable quadratic-plus-l1 model at x.
     """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    x, g = checked_pair(x, g, alpha)
     return soft_threshold(x - alpha * g, alpha * tau)
 
 

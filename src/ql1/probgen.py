@@ -68,18 +68,15 @@ def gen_elastic_net(
     )
 
 
-def _draw_positions(rng: Rng, n: int, count: int) -> list[int]:
-    # Rejection sampling: repeat floor(uniform()*n) until unused. The
-    # draw order is part of the reproducibility contract.
-    used: set[int] = set()
-    out: list[int] = []
-    while len(out) < count:
-        p = int(rng.uniform() * n)
-        if p in used:
-            continue
-        used.add(p)
-        out.append(p)
-    return out
+def _draw_position(rng: Rng, n: int, used: set[int]) -> int:
+    # Rejection sampling: repeat floor(uniform()*n) until the position is not
+    # in used, and add it there. The draw order is part of the
+    # reproducibility contract.
+    pos = int(rng.uniform() * n)
+    while pos in used:
+        pos = int(rng.uniform() * n)
+    used.add(pos)
+    return pos
 
 
 def gen_sigrec(
@@ -110,10 +107,9 @@ def gen_sigrec(
         raise ValueError("gamma, tau, noise_sigma must be nonnegative")
     rng = Rng(seed)
     s = np.zeros(n)
+    used: set[int] = set()
     for _ in range(signal_nnz):
-        pos = int(rng.uniform() * n)
-        while s[pos] != 0.0:
-            pos = int(rng.uniform() * n)
+        pos = _draw_position(rng, n, used)  # before the sign: see the stream order
         s[pos] = 1.0 if rng.uniform() < 0.5 else -1.0
     b_mat = rng.normals(m * n).reshape(m, n)
     b_mat /= np.sqrt(m)
@@ -181,7 +177,8 @@ def gen_strict_comp(
     a *= 0.5
 
     x_star = np.zeros(n)
-    positions = _draw_positions(rng, n, nnz)
+    used: set[int] = set()
+    positions = [_draw_position(rng, n, used) for _ in range(nnz)]
     for pos in positions:
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         x_star[pos] = sign * (0.5 + rng.uniform())

@@ -44,9 +44,8 @@ def _block_terms(b_mat: np.ndarray, v: np.ndarray, starts: range, rows: int) -> 
     return terms
 
 
-# The threads that compute row blocks of large factored products for every
-# operator in the process, and ranges of large normal draws (ql1.rng), made on
-# first use; see FactoredOperator._matvec and Rng.normals.
+# The threads that run the ranges of ``spread`` after the first, for every
+# caller in the process, made on first use.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -67,10 +66,25 @@ def _block_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            # the calling thread computes one chunk or range itself
+            # the calling thread runs one range itself
             _pool = ThreadPoolExecutor(max_workers=max(1, _cpus() - 1),
                                        thread_name_prefix="ql1-blocks")
         return _pool
+
+
+def spread(fn, count: int, parts: int) -> list:
+    """[fn(lo, hi) for each of max(1, parts) contiguous ranges of range(count)].
+
+    The calling thread runs the first range and the shared pool the rest;
+    the results come back in range order, and an exception raised in any
+    range reaches the caller. One part starts no thread.
+    """
+    if parts <= 1:
+        return [fn(0, count)]
+    cuts = [p * count // parts for p in range(parts + 1)]
+    pool = _block_pool()
+    rest = [pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    return [fn(0, cuts[1])] + [future.result() for future in rest]
 
 
 def _as_vector(v, n: int, name: str = "v") -> np.ndarray:
@@ -162,10 +176,10 @@ class FactoredOperator(CountingOperator):
     but still counts as a single matrix-vector product: the work metric
     counts applications of A, not BLAS calls.
 
-    A B of 4 or more row blocks is split into ``min(cpus, blocks // 2)``
-    contiguous chunks: the calling thread computes the first, a shared
-    thread pool the rest, and the block terms are added to the result in
-    block order, so the product has the same bits as the serial loop.
+    A B of 4 or more row blocks is cut into ``min(cpus, blocks // 2)``
+    contiguous chunks of blocks, computed by :func:`spread`, and the block
+    terms are added to the result in block order, so the product has the
+    same bits as the serial loop.
     """
 
     kind = "factored"
@@ -194,19 +208,10 @@ class FactoredOperator(CountingOperator):
         starts = range(0, b_mat.shape[0], rows)
         # At least two blocks per chunk: 2 or 3 blocks split in two ran
         # slower than one thread.
-        chunks = min(_cpus(), len(starts) // 2)
-        first, rest = starts, []
-        if chunks > 1:
-            # chunk c holds starts[cuts[c]:cuts[c + 1]]
-            cuts = [c * len(starts) // chunks for c in range(chunks + 1)]
-            first = starts[:cuts[1]]
-            pool = _block_pool()
-            rest = [pool.submit(_block_terms, b_mat, v, starts[lo:hi], rows)
-                    for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        for term in _block_terms(b_mat, v, first, rows):
-            out += term
-        for future in rest:
-            for term in future.result():
+        chunks = spread(lambda lo, hi: _block_terms(b_mat, v, starts[lo:hi], rows),
+                        len(starts), min(_cpus(), len(starts) // 2))
+        for terms in chunks:
+            for term in terms:
                 out += term
         return out
 
@@ -237,10 +242,3 @@ class QuadraticProblem:
         if ax is None:
             ax = self.op.apply(x)
         return objective_from_ax(x, ax, self.b, self.tau)
-
-    def gradient(self, x, ax: np.ndarray | None = None) -> np.ndarray:
-        """Smooth-part gradient Ax - b. One matrix-vector product unless ``ax`` is supplied."""
-        x = _as_vector(x, self.n, "x")
-        if ax is None:
-            ax = self.op.apply(x)
-        return ax - self.b

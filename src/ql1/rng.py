@@ -10,18 +10,17 @@ discarded.
 Bulk draws run in cache-sized chunks of ``_CHUNK`` values through
 reused work buffers, so their peak memory is the output plus O(chunk).
 A normals draw of ``_SPLIT`` values or more (a 1000-by-2000 design
-matrix is 2,000,000) is split into one contiguous range per CPU: the
-calling thread fills the first and the thread pool of ``ql1.problem``
-the rest, in chunks of ``_WIDE_CHUNK``, since at ``_CHUNK`` the threads
-spend their time waiting for the interpreter lock. Each range draws its
-own stream positions, so the bits and the final state do not depend on
-the CPU count. Such a draw needs two 192 KiB work buffers per range and
-one shared, 960 KiB beyond the output on two CPUs. Smaller draws and
-one-CPU hosts start no thread.
+matrix is 2,000,000) is spread over the CPUs by ``ql1.problem.spread``,
+one contiguous range each, in chunks of ``_WIDE_CHUNK``, since at
+``_CHUNK`` the threads spend their time waiting for the interpreter lock.
+Each range draws its own stream positions, so the bits and the final
+state do not depend on the CPU count. Such a draw needs two 192 KiB work
+buffers per range and one shared, 960 KiB beyond the output on two CPUs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -100,29 +99,20 @@ class Rng:
 
         Draws run in chunks of ``_CHUNK`` normals, so the peak memory is
         the output plus O(chunk). A draw of ``_SPLIT`` normals or more is
-        split into ``cpus`` contiguous ranges, filled in chunks of
-        ``_WIDE_CHUNK`` by the calling thread (the first) and the thread
-        pool of ``ql1.problem`` (the rest), each with two work buffers of
-        a chunk; the bits and the final state are those of the one-thread
-        draw on any CPU count. Normal i takes u1 from stream position 2i+1 and u2
-        from 2i+2. The fast path assumes no u1 draw is exactly zero
-        (probability 2^-53 per draw); if one is, in any range, it falls
-        back to the scalar loop from the starting state so redraw
-        semantics stay exact.
+        spread over ``cpus`` ranges, filled in chunks of ``_WIDE_CHUNK``,
+        each with two work buffers of a chunk; the bits and the final state
+        are those of the one-thread draw on any CPU count. Normal i takes u1
+        from stream position 2i+1 and u2 from 2i+2. The fast path assumes no
+        u1 draw is exactly zero (probability 2^-53 per draw); if one is, in
+        any range, it falls back to the scalar loop from the starting state
+        so redraw semantics stay exact.
         """
         out = np.empty(count)
         ranges, chunk = 1, _CHUNK
         if count >= _SPLIT:
             ranges, chunk = problem._cpus(), _WIDE_CHUNK
         odd = np.arange(1, 2 * min(count, chunk), 2, dtype=np.uint64) * np.uint64(_GAMMA)
-        cuts = [r * count // ranges for r in range(ranges + 1)]
-        rest = []
-        if ranges > 1:
-            pool = problem._block_pool()
-            rest = [pool.submit(self._fill_normals, out, odd, lo, hi)
-                    for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        filled = [self._fill_normals(out, odd, 0, cuts[1])]
-        filled += [future.result() for future in rest]
+        filled = problem.spread(functools.partial(self._fill_normals, out, odd), count, ranges)
         if not all(filled):  # a zero u1 is redrawn, which shifts the stream
             return np.array([self.normal() for _ in range(count)])
         self.state = (self.state + 2 * count * _GAMMA) & _MASK

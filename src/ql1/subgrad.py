@@ -12,8 +12,8 @@ optimizing over the current support.
 :class:`SubgradientSplit` computes each part, and is what the solvers
 run. The functions ``release_grad``, ``support_grad``,
 ``support_grad_map`` and ``min_norm_subgrad`` are checked views of it:
-they convert and check their arguments, then return the part of a fresh
-split, an array the caller owns.
+they convert and check their arguments with :func:`checked_pair`, then
+return the part of a fresh split, an array the caller owns.
 
 Zero classification is by numeric equality with 0.0 throughout, so the
 IEEE sign of a zero never changes any output.
@@ -122,13 +122,19 @@ def split_subgradient(x, g, tau: float, alpha: float) -> SubgradientSplit:
     return SubgradientSplit(x, g, tau, alpha)
 
 
-def _checked_split(x, g, tau: float, alpha: float = 1.0) -> SubgradientSplit:
-    """The split at x and g as float64 arrays; ValueError unless their shapes agree."""
+def checked_pair(x, g, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """x and g as float64 arrays; ValueError unless their shapes agree and alpha > 0."""
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if x.shape != g.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    return split_subgradient(x, g, tau, alpha)
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return x, g
+
+
+def _checked_split(x, g, tau: float, alpha: float = 1.0) -> SubgradientSplit:
+    return split_subgradient(*checked_pair(x, g, alpha), tau, alpha)
 
 
 def release_grad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
@@ -138,8 +144,6 @@ def release_grad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
 
 def support_grad_map(x: np.ndarray, g: np.ndarray, tau: float, alpha: float) -> np.ndarray:
     """Scaled proximal displacement of the nonzero coordinates."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     return _checked_split(x, g, tau, alpha).support_map
 
 

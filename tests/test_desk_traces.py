@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ql1 import problem as problem_mod
 from ql1.drivers import SolverConfig, reference_config, solve
 from ql1.probgen import gen_strict_comp
 
@@ -164,6 +165,18 @@ def test_diff_names_the_hosts_when_they_differ(tmp_path, capsys):
         assert diff(paths[x], paths[y]) == 0
         out = capsys.readouterr().out
         assert out.startswith("0 of 1 items differ\n") and "hosts differ" not in out
+
+
+def test_host_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    # OpenBLAS sizes its threads by the affinity, which taskset narrows
+    # below os.cpu_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    problem_mod._cpus.cache_clear()
+    try:
+        assert desk_traces.host()["cpus"] == 1
+    finally:
+        problem_mod._cpus.cache_clear()
 
 
 def test_diff_prints_step_counts_only_when_both_digests_have_them(tmp_path, capsys):

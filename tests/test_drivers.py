@@ -103,7 +103,7 @@ def test_one_dimensional_solution_all_solvers():
         tr = solve(p, SolverConfig(algorithm=algo, tol=1e-12, mv_budget=5000))
         assert tr.status == STATUS_CONVERGED
         assert tr.final_x[0] == pytest.approx(1.5, abs=1e-10)
-        g = p.gradient(tr.final_x)
+        g = p.op.apply(tr.final_x) - p.b
         assert np.abs(min_norm_subgrad(tr.final_x, g, p.tau)).max() <= 1e-10
 
 

@@ -68,6 +68,32 @@ def test_sigrec_signal_structure():
     assert inst.problem.op.b_mat.shape == (16, 64)
 
 
+@pytest.mark.parametrize("seed, spikes", [
+    (7, {1: -1.0, 5: 1.0, 6: 1.0, 7: 1.0, 14: -1.0}),
+    (3001, {0: 1.0, 4: 1.0, 5: 1.0, 6: -1.0, 10: -1.0}),
+])
+def test_sigrec_signal_keeps_its_draw_order(seed, spikes):
+    # Each spike's position is drawn before its sign, as the docstring says;
+    # positions and signs come from uniforms alone, so these bits hold on any
+    # platform.
+    s = gen_sigrec(4, 16, 5, 0.01, 0.0, 0.0, seed).params["signal"]
+    assert {int(i): float(s[i]) for i in np.flatnonzero(s)} == spikes
+
+
+@pytest.mark.parametrize("seed, support", [
+    (7, {0: "-0x1.259924aa868e4p+0", 1: "0x1.27aaa122e671dp+0", 3: "-0x1.0412fe0966885p+0",
+         9: "-0x1.b00e72242048ep-1", 11: "-0x1.2f0e80f94fbf2p+0"}),
+    (4002, {1: "0x1.5ceb02e93d704p+0", 4: "0x1.2bc93027a69aep+0", 8: "-0x1.4785290b8b88ap-1",
+            9: "0x1.cbbf7f4788010p-1", 11: "-0x1.e1dc3027a5e66p-1"}),
+])
+def test_strict_comp_solution_keeps_its_draw_order(seed, support):
+    # All positions first, then a sign and a magnitude per position; only
+    # uniforms enter x*, and the normals before them advance the stream by a
+    # fixed count, so these bits hold on any platform.
+    x = gen_strict_comp(12, 5, 10.0, 1.0, 0.5, seed).x_star
+    assert {int(i): float(x[i]).hex() for i in np.flatnonzero(x)} == support
+
+
 def test_sigrec_zero_signal_zero_solution():
     # no spikes: b is pure noise; tau above ||b||_inf makes 0 optimal
     inst = gen_sigrec(8, 16, 0, 0.1, 0.0, 0.0, seed=5)

@@ -139,6 +139,39 @@ class _PoolSpy:
         return future
 
 
+def test_spread_returns_the_ranges_in_order_the_first_from_the_caller():
+    caller = threading.get_ident()
+
+    def fn(lo, hi):
+        return lo, hi, threading.get_ident() == caller
+
+    got = problem_mod.spread(fn, 10, 3)
+    assert [(lo, hi) for lo, hi, _ in got] == [(0, 3), (3, 6), (6, 10)]
+    assert [on_caller for *_, on_caller in got] == [True, False, False]
+    # more parts than items leaves some ranges empty
+    assert [r[:2] for r in problem_mod.spread(fn, 2, 3)] == [(0, 0), (0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("parts", [1, 0, -2])
+def test_spread_in_one_part_makes_no_pool(parts):
+    spy = _PoolSpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem_mod, "_pool", None)
+        mp.setattr(problem_mod, "ThreadPoolExecutor", spy)
+        assert problem_mod.spread(lambda lo, hi: (lo, hi), 7, parts) == [(0, 7)]
+    assert (spy.made, spy.submits) == (0, 0)
+
+
+def test_spread_raises_what_a_pool_range_raises():
+    def fn(lo, hi):
+        if lo:
+            raise RuntimeError(f"range from {lo}")
+        return lo
+
+    with pytest.raises(RuntimeError, match="range from 5"):
+        problem_mod.spread(fn, 10, 2)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_chunked_product_has_the_serial_bits(cpus):
     # 1 to 17 blocks of 3 rows, with a full and a partial last block, and
@@ -303,16 +336,7 @@ def test_objective_mv_accounting_with_and_without_cache():
     ax = p.op.apply(x)
     before = p.op.mv_count
     p.objective(x, ax=ax)
-    p.gradient(x, ax=ax)
     assert p.op.mv_count == before
-
-
-def test_gradient_hand_values():
-    p = QuadraticProblem(DenseOperator(np.eye(2)), np.array([1.0, 1.0]), 0.0)
-    assert np.array_equal(p.gradient(np.zeros(2)), [-1.0, -1.0])
-    assert np.array_equal(p.gradient([1.0, 1.0]), [0.0, 0.0])
-    p = QuadraticProblem(DenseOperator([[2.0, 0.0], [0.0, 4.0]]), np.array([1.0, 0.0]), 0.0)
-    assert np.array_equal(p.gradient([1.0, 1.0]), [1.0, 4.0])
 
 
 def test_quadratic_exactness_identity():
@@ -328,7 +352,7 @@ def test_quadratic_exactness_identity():
         lhs = (
             p.objective(x)
             - p.objective(y)
-            - p.gradient(y) @ (x - y)
+            - (p.op.apply(y) - p.b) @ (x - y)
             - 0.5 * (x - y) @ (a @ (x - y))
             - p.tau * (np.abs(x).sum() - np.abs(y).sum())
         )
