@@ -1,10 +1,13 @@
 """Seeded synthetic problem families with reproducible random streams.
 
-Every generator is a pure function of its parameters and seed. The fill
+Every generator is a function of its parameters and seed. The fill
 order is normative so that independent implementations of the same
 stream produce identical instances: matrices are filled row-major,
 vectors front to back, objects in the order they are described in each
-generator's docstring.
+generator's docstring. The draws (B among them), ``gen_sigrec``'s signal
+and ``gen_strict_comp``'s ``x_star`` are exact; every b, and
+``gen_strict_comp``'s A (through ``np.linalg.qr``), follow BLAS's
+rounding, which may change with its thread count.
 """
 
 from __future__ import annotations
@@ -179,13 +182,10 @@ def gen_strict_comp(
     x_star = np.zeros(n)
     used: set[int] = set()
     positions = [_draw_position(rng, n, used) for _ in range(nnz)]
-    for pos in positions:
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        x_star[pos] = sign * (0.5 + rng.uniform())
+    pairs = rng.uniforms(2 * nnz)  # per position a sign, then a magnitude
+    x_star[positions] = np.where(pairs[0::2] < 0.5, 1.0, -1.0) * (0.5 + pairs[1::2])
     u = np.sign(x_star)
-    for i in range(n):
-        if x_star[i] == 0.0:
-            u[i] = (2.0 * rng.uniform() - 1.0) * (1.0 - margin)
+    u[x_star == 0.0] = (2.0 * rng.uniforms(n - nnz) - 1.0) * (1.0 - margin)
     b = a @ x_star + tau * u
     problem = QuadraticProblem(DenseOperator(a), b, tau)
     return GeneratedInstance(

@@ -72,13 +72,15 @@ def _block_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def spread(fn, count: int, parts: int) -> list:
-    """[fn(lo, hi) for each of max(1, parts) contiguous ranges of range(count)].
+def spread(fn, count: int, min_part: int) -> list:
+    """[fn(lo, hi) for each of min(_cpus(), count // min_part) contiguous ranges of range(count)].
 
-    The calling thread runs the first range and the shared pool the rest;
-    the results come back in range order, and an exception raised in any
-    range reaches the caller. One part starts no thread.
+    At least one range; each caller names only ``min_part``, the fewest
+    items worth a thread. The calling thread runs the first range and the
+    shared pool the rest; the results come back in range order, and an
+    exception raised in any range reaches the caller. One range starts no thread.
     """
+    parts = min(_cpus(), count // min_part)
     if parts <= 1:
         return [fn(0, count)]
     cuts = [p * count // parts for p in range(parts + 1)]
@@ -176,10 +178,9 @@ class FactoredOperator(CountingOperator):
     but still counts as a single matrix-vector product: the work metric
     counts applications of A, not BLAS calls.
 
-    A B of 4 or more row blocks is cut into ``min(cpus, blocks // 2)``
-    contiguous chunks of blocks, computed by :func:`spread`, and the block
-    terms are added to the result in block order, so the product has the
-    same bits as the serial loop.
+    :func:`spread` cuts the blocks into contiguous chunks of two blocks or
+    more, and the block terms are added to the result in block order, so
+    the product has the same bits as the serial loop.
     """
 
     kind = "factored"
@@ -209,7 +210,7 @@ class FactoredOperator(CountingOperator):
         # At least two blocks per chunk: 2 or 3 blocks split in two ran
         # slower than one thread.
         chunks = spread(lambda lo, hi: _block_terms(b_mat, v, starts[lo:hi], rows),
-                        len(starts), min(_cpus(), len(starts) // 2))
+                        len(starts), 2)
         for terms in chunks:
             for term in terms:
                 out += term

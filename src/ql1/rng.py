@@ -9,13 +9,13 @@ discarded.
 
 Bulk draws run in cache-sized chunks of ``_CHUNK`` values through
 reused work buffers, so their peak memory is the output plus O(chunk).
-A normals draw of ``_SPLIT`` values or more (a 1000-by-2000 design
-matrix is 2,000,000) is spread over the CPUs by ``ql1.problem.spread``,
-one contiguous range each, in chunks of ``_WIDE_CHUNK``, since at
+``ql1.problem.spread`` cuts a normals draw into ranges of ``_SPLIT // 2``
+values or more, so draws of ``_SPLIT`` or more (a 1000-by-2000 design
+matrix is 2,000,000) are split, in chunks of ``_WIDE_CHUNK``, since at
 ``_CHUNK`` the threads spend their time waiting for the interpreter lock.
 Each range draws its own stream positions, so the bits and the final
-state do not depend on the CPU count. Such a draw needs two 192 KiB work
-buffers per range and one shared, 960 KiB beyond the output on two CPUs.
+state do not depend on the CPU count. A range needs two 192 KiB work
+buffers and the draw one shared: 960 KiB beyond the output at 2^20 values.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _CHUNK = 8192  # values per bulk step; its 64 KiB work buffers stay in L2
-_SPLIT = 1 << 20  # normals draws this large are split across the CPUs
+_SPLIT = 1 << 20  # normals draws this large are split, in ranges of half as many
 # values per bulk step of a split draw; 4 * _CHUNK drew 10% faster on two
 # CPUs but added 1.4 MB to large-lasso's peak RSS, its draws' work buffers
 # being live at the peak
@@ -99,20 +99,19 @@ class Rng:
 
         Draws run in chunks of ``_CHUNK`` normals, so the peak memory is
         the output plus O(chunk). A draw of ``_SPLIT`` normals or more is
-        spread over ``cpus`` ranges, filled in chunks of ``_WIDE_CHUNK``,
-        each with two work buffers of a chunk; the bits and the final state
-        are those of the one-thread draw on any CPU count. Normal i takes u1
-        from stream position 2i+1 and u2 from 2i+2. The fast path assumes no
-        u1 draw is exactly zero (probability 2^-53 per draw); if one is, in
-        any range, it falls back to the scalar loop from the starting state
-        so redraw semantics stay exact.
+        filled in chunks of ``_WIDE_CHUNK`` over the ranges that ``spread``
+        gives it, each with two work buffers of a chunk; the bits and the
+        final state are those of the one-thread draw on any CPU count.
+        Normal i takes u1 from stream position 2i+1 and u2 from 2i+2. The
+        fast path assumes no u1 draw is exactly zero (probability 2^-53 per
+        draw); if one is, in any range, it falls back to the scalar loop
+        from the starting state so redraw semantics stay exact.
         """
         out = np.empty(count)
-        ranges, chunk = 1, _CHUNK
-        if count >= _SPLIT:
-            ranges, chunk = problem._cpus(), _WIDE_CHUNK
+        chunk = _WIDE_CHUNK if count >= _SPLIT else _CHUNK
         odd = np.arange(1, 2 * min(count, chunk), 2, dtype=np.uint64) * np.uint64(_GAMMA)
-        filled = problem.spread(functools.partial(self._fill_normals, out, odd), count, ranges)
+        fill = functools.partial(self._fill_normals, out, odd)
+        filled = problem.spread(fill, count, _SPLIT // 2)
         if not all(filled):  # a zero u1 is redrawn, which shifts the stream
             return np.array([self.normal() for _ in range(count)])
         self.state = (self.state + 2 * count * _GAMMA) & _MASK

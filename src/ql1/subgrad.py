@@ -159,8 +159,4 @@ def min_norm_subgrad(x: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
 
 def gradient_balance(release: np.ndarray, support_map: np.ndarray) -> bool:
     """True iff ||release||^2 <= ||support_map||^2 (ties count as balanced)."""
-    release = np.asarray(release, dtype=np.float64)
-    support_map = np.asarray(support_map, dtype=np.float64)
-    if release.shape != support_map.shape:
-        raise ValueError(f"shape mismatch: {release.shape} vs {support_map.shape}")
-    return _balance(release, support_map)
+    return _balance(*checked_pair(release, support_map))

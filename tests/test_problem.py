@@ -139,7 +139,9 @@ class _PoolSpy:
         return future
 
 
-def test_spread_returns_the_ranges_in_order_the_first_from_the_caller():
+def test_spread_returns_the_ranges_in_order_the_first_from_the_caller(monkeypatch):
+    # one range per CPU while each range keeps min_part items or more
+    monkeypatch.setattr(problem_mod, "_cpus", lambda: 3)
     caller = threading.get_ident()
 
     def fn(lo, hi):
@@ -148,21 +150,29 @@ def test_spread_returns_the_ranges_in_order_the_first_from_the_caller():
     got = problem_mod.spread(fn, 10, 3)
     assert [(lo, hi) for lo, hi, _ in got] == [(0, 3), (3, 6), (6, 10)]
     assert [on_caller for *_, on_caller in got] == [True, False, False]
-    # more parts than items leaves some ranges empty
-    assert [r[:2] for r in problem_mod.spread(fn, 2, 3)] == [(0, 0), (0, 1), (1, 2)]
+    # no more ranges than CPUs, and fewer where the items run short
+    assert [r[:2] for r in problem_mod.spread(fn, 100, 1)] == [(0, 33), (33, 66), (66, 100)]
+    assert [r[:2] for r in problem_mod.spread(fn, 5, 2)] == [(0, 2), (2, 5)]
 
 
-@pytest.mark.parametrize("parts", [1, 0, -2])
+@pytest.mark.parametrize("parts", [1, 0])
 def test_spread_in_one_part_makes_no_pool(parts):
+    # count // min_part is 1 or 0 on eight CPUs, and any count is one part on one CPU
     spy = _PoolSpy()
+    count = 4 * parts + 3
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(problem_mod, "_pool", None)
         mp.setattr(problem_mod, "ThreadPoolExecutor", spy)
-        assert problem_mod.spread(lambda lo, hi: (lo, hi), 7, parts) == [(0, 7)]
+        mp.setattr(problem_mod, "_cpus", lambda: 8)
+        assert problem_mod.spread(lambda lo, hi: (lo, hi), count, 4) == [(0, count)]
+        mp.setattr(problem_mod, "_cpus", lambda: 1)
+        assert problem_mod.spread(lambda lo, hi: (lo, hi), 100, 1) == [(0, 100)]
     assert (spy.made, spy.submits) == (0, 0)
 
 
-def test_spread_raises_what_a_pool_range_raises():
+def test_spread_raises_what_a_pool_range_raises(monkeypatch):
+    monkeypatch.setattr(problem_mod, "_cpus", lambda: 2)
+
     def fn(lo, hi):
         if lo:
             raise RuntimeError(f"range from {lo}")

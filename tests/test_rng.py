@@ -155,11 +155,13 @@ class _CountingPool:
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
-@pytest.mark.parametrize("count", [_SPLIT - 1, _SPLIT, _SPLIT + 1, 2_000_000])
+@pytest.mark.parametrize("count", [62_500, 262_144, _SPLIT - 1, _SPLIT, _SPLIT + 1, 2_000_000])
 def test_split_normals_have_the_serial_bits(count, cpus, monkeypatch):
     # Vectorized uniforms are bit-tested against the scalar stream above, so
-    # their pairs stand in for it here; only a draw of _SPLIT or more on more
-    # than one CPU gives the pool one range for each CPU after the first.
+    # their pairs stand in for it here. A draw gets one range per CPU, of
+    # _SPLIT // 2 values or more, and the pool every range after the first.
+    # 62,500 and 262,144 values are the desk suite's smallest and largest
+    # matrix draws, and 2,000,000 large-lasso's.
     spy = _CountingPool(problem_mod._block_pool())
     monkeypatch.setattr(problem_mod, "_cpus", lambda: cpus)
     monkeypatch.setattr(problem_mod, "_block_pool", lambda: spy)
@@ -170,7 +172,8 @@ def test_split_normals_have_the_serial_bits(count, cpus, monkeypatch):
     whole = np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
     assert batch.tobytes() == whole.tobytes()
     assert rng.state == (seed + 2 * count * _GAMMA) & _MASK
-    assert spy.submits == (cpus - 1 if count >= _SPLIT else 0)
+    ranges = {62_500: 1, 262_144: 1, _SPLIT - 1: 1, _SPLIT: 2, _SPLIT + 1: 2, 2_000_000: 3}[count]
+    assert spy.submits == min(cpus, ranges) - 1
 
 
 @pytest.mark.parametrize("i, count, cpus", [
@@ -210,16 +213,22 @@ def test_normals_peak_memory_is_about_the_output():
 
 
 def test_split_normals_peak_memory_is_about_the_output(monkeypatch):
-    # four ranges, each with its own two work buffers of _WIDE_CHUNK values
-    monkeypatch.setattr(problem_mod, "_cpus", lambda: 4)
-    count = 2_000_000
-    tracemalloc.start()
+    # On 16 CPUs, with a pool made for them, a draw still gets one range per
+    # _SPLIT // 2 values, each with two work buffers of _WIDE_CHUNK values.
+    monkeypatch.setattr(problem_mod, "_cpus", lambda: 16)
+    monkeypatch.setattr(problem_mod, "_pool", None)  # the process's pool comes back after
     try:
-        Rng(0).normals(count)
-        peak = tracemalloc.get_traced_memory()[1]
+        for count in (_SPLIT, 2_000_000):
+            tracemalloc.start()
+            try:
+                Rng(0).normals(count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 8 * count, count
     finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 8 * count
+        if problem_mod._pool is not None:
+            problem_mod._pool.shutdown()
 
 
 @pytest.mark.parametrize(
