@@ -21,8 +21,18 @@ compared in pairs:
     done
 
 ``compare A B`` pairs the untraced runs of each workload by seed and prints,
-per end-to-end metric, the median and quartiles of each side and the number
-of pairs in which B is better. It also prints each seed whose ``mv_total``
+per metric, the median and quartiles of each side and the number of pairs in
+which B is better. For each end-to-end metric of BENCHMARK.json it prints two
+verdicts on B against A:
+
+- ``gain``: met when B is better in at least 9/10 of the pairs (ties count
+  for neither) and B's median is better than A's by more than A's q3 - q1.
+- ``bound``: ``within`` when B's median is worse than A's by no more than
+  the metric's bound (a fraction of A's median), ``worse`` when by more.
+  It is ``unresolved`` when A's (q3 - q1) / median is wider than the bound,
+  unless every run of B is better than every run of A.
+
+It also prints each seed whose ``mv_total``
 differs, each seed whose ``solve_samples`` (the number of timed solves behind
 ``solve_ms_p50``) differs, each seed whose ``trace_sha256`` differs (or that
 it is equal at all the seeds where both runs have one), and the traced
@@ -114,9 +124,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def metric_directions(root: Path) -> dict[str, str]:
+def metric_specs(root: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Each metric's better direction, and each end-to-end metric's bound."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def pairs_won(a: list[float], b: list[float], lower: bool) -> int:
+    """The number of pairs in which B is better; ties count for neither."""
+    return sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+
+
+def verdicts(a: list[float], b: list[float], lower: bool, bound: float) -> tuple[str, str]:
+    """The gain and bound verdicts on B's runs against A's, paired by index."""
+    sign = 1.0 if lower else -1.0
+    (qa1, ma, qa3), mb = quartiles(a), quartiles(b)[1]
+    scale = abs(ma) or 1.0
+    spread, worse = (qa3 - qa1) / scale, sign * (mb - ma) / scale
+    met = 10 * pairs_won(a, b, lower) >= 9 * len(a) and -worse > spread
+    gain = "met" if met else "not met"
+    if (max(b) < min(a)) if lower else (min(b) > max(a)):
+        held = "within (every B run better than every A run)"
+    elif spread > bound:
+        held = f"unresolved (A's q3-q1 is {spread:.1%} of its median)"
+    else:
+        held = f"{'within' if worse <= bound else 'worse'} ({worse:+.1%} worse)"
+    return gain, held
 
 
 def value(run: dict, metric: str) -> float:
@@ -124,7 +158,7 @@ def value(run: dict, metric: str) -> float:
 
 
 def compare_workload(wl: str, runs_a: list[dict], runs_b: list[dict],
-                     better: dict[str, str]) -> list[str]:
+                     better: dict[str, str], bounds: dict[str, float] | None = None) -> list[str]:
     by_seed_a = {r["seed"]: r for r in runs_a}
     by_seed_b = {r["seed"]: r for r in runs_b}
     seeds = sorted(by_seed_a.keys() & by_seed_b.keys())
@@ -133,16 +167,21 @@ def compare_workload(wl: str, runs_a: list[dict], runs_b: list[dict],
         return lines
     lines.append(f"  {'metric':<14} {'A median [q1-q3]':>30} {'B median [q1-q3]':>30}"
                  f" {'B/A':>6} {'B better':>9}")
+    judged = []
     for metric in by_seed_a[seeds[0]]["result"]["metrics"]:
         a = [value(by_seed_a[s], metric) for s in seeds]
         b = [value(by_seed_b[s], metric) for s in seeds]
         lower = better.get(metric, "lower") == "lower"
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        wins = pairs_won(a, b, lower)
         (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
         ratio = f"{mb / ma:.3f}" if ma else "-"
         lines.append(f"  {metric:<14} {f'{ma:.4g} [{qa1:.4g}-{qa3:.4g}]':>30}"
                      f" {f'{mb:.4g} [{qb1:.4g}-{qb3:.4g}]':>30} {ratio:>6}"
                      f" {f'{wins}/{len(seeds)}':>9}")
+        if metric in (bounds or {}):
+            gain, held = verdicts(a, b, lower, bounds[metric])
+            judged.append(f"  {metric:<14} gain: {gain:<8} bound {bounds[metric]:.0%}: {held}")
+    lines += judged
     for s in seeds:
         mv_a, mv_b = (by_seed_a[s]["info"]["mv_total"], by_seed_b[s]["info"]["mv_total"])
         if mv_a != mv_b:
@@ -182,13 +221,13 @@ def failures(rec: dict) -> list[str]:
 
 def compare(args: argparse.Namespace) -> int:
     rec_a, rec_b = (json.loads(Path(p).read_text()) for p in (args.a, args.b))
-    better = metric_directions(ROOT)
+    better, bounds = metric_specs(ROOT)
     lines = [f"{side}: {path} (HEAD {rec['git']['head'][:7]}"
              f"{', uncommitted changes' if rec['git']['dirty'] else ''})"
              for side, path, rec in (("A", args.a, rec_a), ("B", args.b, rec_b))]
     for wl in rec_a["runs"]:
         if wl in rec_b["runs"]:
-            lines += compare_workload(wl, rec_a["runs"][wl], rec_b["runs"][wl], better)
+            lines += compare_workload(wl, rec_a["runs"][wl], rec_b["runs"][wl], better, bounds)
     for wl, ta in rec_a["traced"].items():
         tb = rec_b["traced"].get(wl)
         if tb and tb["seed"] == ta["seed"]:

@@ -43,6 +43,14 @@ def _check_dims(m: int, n: int) -> None:
         raise ValueError(f"instance of {m}x{n} entries is too large")
 
 
+def _least_squares(b_mat: np.ndarray, y: np.ndarray, gamma: float, tau: float,
+                   family: str, seed: int, params: dict) -> GeneratedInstance:
+    # the canonical form of both least-squares families: see gen_elastic_net
+    problem = QuadraticProblem(FactoredOperator(b_mat, gamma), b_mat.T @ y, tau)
+    return GeneratedInstance(problem=problem, x_star=None, family=family, seed=seed,
+                             params=params)
+
+
 def gen_elastic_net(
     m: int, n: int, scale: float, gamma: float, tau: float, seed: int
 ) -> GeneratedInstance:
@@ -60,15 +68,8 @@ def gen_elastic_net(
     rng = Rng(seed)
     b_mat = rng.normals(m * n).reshape(m, n)
     y = scale * rng.normals(m)
-    op = FactoredOperator(b_mat, gamma)
-    problem = QuadraticProblem(op, b_mat.T @ y, tau)
-    return GeneratedInstance(
-        problem=problem,
-        x_star=None,
-        family="elastic_net",
-        seed=seed,
-        params={"m": m, "n": n, "scale": scale, "gamma": gamma, "tau": tau},
-    )
+    return _least_squares(b_mat, y, gamma, tau, "elastic_net", seed,
+                          {"m": m, "n": n, "scale": scale, "gamma": gamma, "tau": tau})
 
 
 def _draw_position(rng: Rng, n: int, used: set[int]) -> int:
@@ -118,23 +119,15 @@ def gen_sigrec(
     b_mat /= np.sqrt(m)
     noise = rng.normals(m)
     y = b_mat @ s + noise_sigma * noise
-    op = FactoredOperator(b_mat, gamma)
-    problem = QuadraticProblem(op, b_mat.T @ y, tau)
-    return GeneratedInstance(
-        problem=problem,
-        x_star=None,
-        family="sigrec",
-        seed=seed,
-        params={
-            "m": m,
-            "n": n,
-            "signal_nnz": signal_nnz,
-            "noise_sigma": noise_sigma,
-            "gamma": gamma,
-            "tau": tau,
-            "signal": s,
-        },
-    )
+    return _least_squares(b_mat, y, gamma, tau, "sigrec", seed, {
+        "m": m,
+        "n": n,
+        "signal_nnz": signal_nnz,
+        "noise_sigma": noise_sigma,
+        "gamma": gamma,
+        "tau": tau,
+        "signal": s,
+    })
 
 
 def gen_strict_comp(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,45 +30,26 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block_terms(b_mat: np.ndarray, v: np.ndarray, starts: range, rows: int) -> list:
-    """(B_blk v)' B_blk for the row block ``b_mat[s:s + rows]`` of each s in ``starts``.
-
-    ``np.dot``, unlike ``@``, releases the GIL on blocks of this size, so
-    that pool threads overlap; the two give the same bits.
-    """
-    terms = []
-    for start in starts:
-        blk = b_mat[start:start + rows]
-        terms.append(np.dot(np.dot(blk, v), blk))
-    return terms
+def _new_pool() -> ThreadPoolExecutor:
+    # The threads that run the ranges of ``spread`` after the first, for every
+    # caller in the process; the calling thread runs the first. An executor
+    # starts a thread only when it is given a task, so a process whose jobs
+    # all stay in one range starts none.
+    return ThreadPoolExecutor(max_workers=max(1, _cpus() - 1), thread_name_prefix="ql1-blocks")
 
 
-# The threads that run the ranges of ``spread`` after the first, for every
-# caller in the process, made on first use.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+_pool = _new_pool()
 
 
-def _drop_pool() -> None:
+def _renew_pool() -> None:
     # A forked child has none of the parent's threads, so a pool it inherited
     # would queue work that nothing runs; the child makes its own.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
+    global _pool
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):  # no fork on Windows
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _block_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # the calling thread runs one range itself
-            _pool = ThreadPoolExecutor(max_workers=max(1, _cpus() - 1),
-                                       thread_name_prefix="ql1-blocks")
-        return _pool
+    os.register_at_fork(after_in_child=_renew_pool)
 
 
 def spread(fn, count: int, min_part: int) -> list:
@@ -84,8 +64,7 @@ def spread(fn, count: int, min_part: int) -> list:
     if parts <= 1:
         return [fn(0, count)]
     cuts = [p * count // parts for p in range(parts + 1)]
-    pool = _block_pool()
-    rest = [pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    rest = [_pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
     return [fn(0, cuts[1])] + [future.result() for future in rest]
 
 
@@ -178,9 +157,11 @@ class FactoredOperator(CountingOperator):
     but still counts as a single matrix-vector product: the work metric
     counts applications of A, not BLAS calls.
 
-    :func:`spread` cuts the blocks into contiguous chunks of two blocks or
-    more, and the block terms are added to the result in block order, so
-    the product has the same bits as the serial loop.
+    B is cut into its row blocks once, at construction, with the
+    ``BLOCK_BYTES`` in force at that time. :func:`spread` cuts the blocks
+    into contiguous chunks of two blocks or more, and the block terms are
+    added to the result in block order, so the product has the same bits
+    as the serial loop.
     """
 
     kind = "factored"
@@ -197,20 +178,22 @@ class FactoredOperator(CountingOperator):
         super().__init__(b_mat.shape[1])
         self.b_mat = np.ascontiguousarray(b_mat)
         self.gamma = gamma
+        rows = max(1, BLOCK_BYTES // max(1, self.b_mat.itemsize * self.n))
+        self._blocks = [self.b_mat[s:s + rows] for s in range(0, self.m, rows)]
 
     @property
     def m(self) -> int:
         return self.b_mat.shape[0]
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
-        b_mat = self.b_mat
+        blocks = self._blocks
         out = (2.0 * self.gamma) * v
-        rows = max(1, BLOCK_BYTES // max(1, b_mat.itemsize * self.n))
-        starts = range(0, b_mat.shape[0], rows)
-        # At least two blocks per chunk: 2 or 3 blocks split in two ran
-        # slower than one thread.
-        chunks = spread(lambda lo, hi: _block_terms(b_mat, v, starts[lo:hi], rows),
-                        len(starts), 2)
+        # (B_blk v)' B_blk per block. ``np.dot``, unlike ``@``, releases the
+        # GIL on blocks of this size, so that pool threads overlap; the two
+        # give the same bits. At least two blocks per chunk: 2 or 3 blocks
+        # split in two ran slower than one thread.
+        chunks = spread(lambda lo, hi: [np.dot(np.dot(blk, v), blk) for blk in blocks[lo:hi]],
+                        len(blocks), 2)
         for terms in chunks:
             for term in terms:
                 out += term

@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,33 @@ import ql1.drivers
 from ql1.drivers import reference_objective
 from ql1.fileio import read_problem
 from ql1.probgen import desk_suite
+
+
+class PoolSpy:
+    """Stands in for ``ql1.problem._pool`` and counts the tasks submitted.
+
+    It passes each task to ``pool`` if one is given. Otherwise the task runs
+    at once on the submitting thread, so a test sees the chunked product's
+    bits without depending on thread timing.
+    """
+
+    def __init__(self, pool=None):
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.pool is not None:
+            return self.pool.submit(fn, *args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def diag_l1_solution(diag, b, tau):
+    """Per-coordinate closed form for diagonal A: x_i = soft(b_i, tau)/a_ii."""
+    shrunk = np.sign(b) * np.maximum(np.abs(b) - tau, 0.0)
+    return shrunk / diag
 
 
 def solve_with_iterates(problem, cfg, x0=None):

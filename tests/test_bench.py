@@ -41,18 +41,23 @@ def _curve(points, solver):
 
 
 def test_dolan_more_hand_example():
-    # metric rows per problem: [1, 2] and [2, 2]
+    # metric rows per problem: [1, 2], [2, 2] and [0, 3]; a best of 0 (an
+    # empty problem's rows) gives ratio 1 to a 0 and an infinite one otherwise
     results = [
         _result("p1", "s1", 1),
         _result("p1", "s2", 2),
         _result("p2", "s1", 2),
         _result("p2", "s2", 2),
+        BenchResult("p3", "s1", 1e-4, 0, 0.0, 0.0, "converged"),
+        _result("p3", "s2", 3),
     ]
     points = dolan_more(results, metric="mv")
     c1, c2 = _curve(points, "s1"), _curve(points, "s2")
     assert c1[1.0] == 1.0
-    assert c2[1.0] == 0.5
-    assert c2[2.0] == 1.0
+    assert c2[1.0] == pytest.approx(1 / 3)
+    assert c2[2.0] == pytest.approx(2 / 3)
+    with pytest.raises(ValueError, match="unknown metric 'iters'"):
+        dolan_more(results, metric="iters")
 
 
 def test_dolan_more_single_solver():
@@ -83,6 +88,9 @@ def test_dolan_more_excludes_all_fail_problems_with_warning():
     with pytest.warns(UserWarning, match="excluded"):
         points = dolan_more(results)
     assert all(p.rho == 1.0 for p in points)
+    # with every cell excluded there is no curve
+    with pytest.warns(UserWarning, match="excluded"):
+        assert dolan_more(results[2:]) == []
 
 
 def test_dolan_more_curves_nondecreasing_reach_success_fraction():

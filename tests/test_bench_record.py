@@ -40,6 +40,40 @@ def test_compare_pairs_runs_by_seed():
     assert lines[-1] == "  seed 3: mv_total 100 -> 101 (+1.000%)"
 
 
+_A = [10.0 + 0.1 * i for i in range(10)]   # median 10.45, q3 - q1 0.45
+_WIDE = [10.0 + i for i in range(10)]      # median 14.5, q3 - q1 4.5
+
+
+@pytest.mark.parametrize("a, b, lower, want", [
+    # B better in 10/10 pairs, but by 1 where A's own quartiles are 4.5 apart
+    (_WIDE, [x - 1 for x in _WIDE], True, ("not met", "unresolved")),
+    # 9/10 pairs, by about 1.9 against 0.45; the bound is 25% on the worse side
+    (_A, [11.0] + [x - 2 for x in _A[1:]], True, ("met", "within (-18.2% worse)")),
+    (_A, [11.0, 11.0] + [x - 2 for x in _A[2:]], True, ("not met", "within (-17.2% worse)")),
+    (_A, [1.2 * x for x in _A], True, ("not met", "within (+20.0% worse)")),
+    (_A, [1.3 * x for x in _A], True, ("not met", "worse (+30.0% worse)")),
+    # a spread wider than the bound is resolved only when every B run is better
+    (_WIDE, [x - 10 for x in _WIDE], True, ("met", "within (every B run better")),
+    (_A, [x + 2 for x in _A], False, ("met", "within (every B run better")),
+    (_A, [0.7 * x for x in _A], False, ("not met", "worse (+30.0% worse)")),
+])
+def test_verdicts_on_hand_made_runs(a, b, lower, want):
+    gain, held = bench_record.verdicts(a, b, lower, 0.25)
+    assert gain == want[0] and held.startswith(want[1]), (gain, held)
+
+
+def test_compare_prints_a_verdict_per_end_to_end_metric():
+    a = [_run(s, w, 100) for s, w in enumerate(_WIDE)]
+    b = [_run(s, w - 1, 100) for s, w in enumerate(_WIDE)]
+    better = {"wall_s": "lower", "mv_total": "lower"}
+    lines = bench_record.compare_workload("w", a, b, better, {"wall_s": 0.25, "mv_total": 0.2})
+    wall = [line for line in lines if line.lstrip().startswith("wall_s")]
+    assert wall[0].endswith("10/10")
+    assert "gain: not met" in wall[1] and "bound 25%: unresolved" in wall[1]
+    mv = [line for line in lines if line.lstrip().startswith("mv_total")]
+    assert "gain: not met" in mv[1] and "bound 20%: within (+0.0% worse)" in mv[1]
+
+
 def test_compare_reports_trace_hashes_by_seed():
     # seed 4 has no hash on one side and is skipped
     a = [_run(1, 1.0, 5, sha="a" * 64), _run(2, 1.0, 5, sha="b" * 64), _run(4, 1.0, 5)]

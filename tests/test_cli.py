@@ -291,6 +291,7 @@ _GOOD_CSV = {
 }
 _GOOD_CSV["sweep"] = _GOOD_CSV["bench"]
 _MISSING = {"pareto": "mv", "profile": "mv", "bench": "params", "sweep": "params"}
+_CONVERTED = {"pareto": "mv", "profile": "mv", "bench": "seed", "sweep": "seed"}
 
 
 def _drop_column(text, name):
@@ -305,14 +306,22 @@ def _short_last_row(text):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("fault", ["missing-column", "short-row"])
+def _bad_last_value(text, name):
+    lines = [line.split(",") for line in text.splitlines()]
+    lines[-1][lines[0].index(name)] = "x"
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fault", ["missing-column", "short-row", "bad-value"])
 @pytest.mark.parametrize("command", ["pareto", "profile", "bench", "sweep"])
 def test_malformed_csv_exits_one(tmp_path, capsys, command, fault):
     text = _GOOD_CSV[command]
     if fault == "missing-column":
         text, line = _drop_column(text, _MISSING[command]), 1
-    else:
+    elif fault == "short-row":
         text, line = _short_last_row(text), 3
+    else:
+        text, line = _bad_last_value(text, _CONVERTED[command]), 3
     path = tmp_path / "in.csv"
     path.write_text(text)
     extra = ["--fstar", "-2.25"] if command == "pareto" else []
@@ -321,3 +330,5 @@ def test_malformed_csv_exits_one(tmp_path, capsys, command, fault):
     assert err.startswith("error:") and f"{path}, line {line}:" in err
     if fault == "missing-column":
         assert _MISSING[command] in err
+    if fault == "bad-value":
+        assert "'x'" in err

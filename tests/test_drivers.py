@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import solve_with_iterates
+from conftest import diag_l1_solution, solve_with_iterates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -31,11 +31,6 @@ from ql1.problem import DenseOperator, FactoredOperator, QuadraticProblem
 from ql1.subgrad import min_norm_subgrad, release_grad
 
 ALGOS = ("iicg1", "iicg2", "fista", "istabb")
-
-
-def diag_l1_solution(diag, b, tau):
-    shrunk = np.sign(b) * np.maximum(np.abs(b) - tau, 0.0)
-    return shrunk / diag
 
 
 def test_estimate_max_eig_identity():
@@ -289,6 +284,35 @@ def test_mv_budget_is_a_hard_cap():
             assert tr.mv_total <= budget, (algo, budget)
             assert tr.status == STATUS_BUDGET, (algo, budget)
             assert p.objective(tr.final_x) == pytest.approx(tr.f_best, rel=1e-9)
+
+
+@pytest.mark.parametrize("algorithm", ("iicg1", "iicg2"))
+def test_a_break_that_pays_the_last_product_ends_at_the_budget(algorithm, monkeypatch):
+    # On this bounded, singular instance a curvature break pays the last
+    # product at some budgets (11 and 69 for iicg1; 11, 47 and 52 for iicg2).
+    # The break records nothing, so the loop must end the solve before its
+    # next step asks for a product the budget cannot pay.
+    p = gen_elastic_net(3, 12, 1.0, 0.0, 0.01, seed=3).problem
+    full = solve(p, SolverConfig(algorithm=algorithm, tol=1e-10))
+    step = drivers_mod.cg_step
+    last = []  # the budgets at which a break paid the last product
+
+    def watched(st, op, curv_tol):
+        try:
+            return step(st, op, curv_tol)
+        except CurvatureBreak:
+            if op.mv_count - before == budget:
+                last.append(budget)
+            raise
+
+    monkeypatch.setattr(drivers_mod, "cg_step", watched)
+    for budget in range(full.mv_setup + 1, full.mv_total + 1):
+        before = p.op.mv_count
+        tr = solve(p, SolverConfig(algorithm=algorithm, tol=1e-10, mv_budget=budget))
+        assert tr.mv_total <= budget, budget
+        if last and last[-1] == budget:
+            assert tr.status == STATUS_BUDGET, budget
+    assert last
 
 
 @pytest.mark.parametrize("algorithm", ("iicg1", "iicg2", "istabb"))

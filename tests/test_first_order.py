@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import diag_l1_solution
 
 from ql1.cg import CurvatureBreak
 from ql1.first_order import (
@@ -14,12 +15,6 @@ from ql1.first_order import (
 )
 from ql1.problem import DenseOperator, QuadraticProblem
 from ql1.subgrad import gradient_balance, release_grad, split_subgradient, support_grad_map
-
-
-def diag_l1_solution(diag, b, tau):
-    """Per-coordinate closed form for diagonal A: x_i = soft(b_i, tau)/a_ii."""
-    shrunk = np.sign(b) * np.maximum(np.abs(b) - tau, 0.0)
-    return shrunk / diag
 
 
 def test_ista_step_hand_values():

@@ -8,7 +8,7 @@ import pytest
 from ql1.drivers import STATUS_CONVERGED, SolverConfig, solve
 from ql1.fileio import ProblemFormatError, read_problem, write_problem
 from ql1.probgen import gen_elastic_net, gen_sigrec, gen_strict_comp
-from ql1.problem import FactoredOperator
+from ql1.problem import CountingOperator, FactoredOperator, QuadraticProblem
 from ql1.subgrad import min_norm_subgrad
 
 
@@ -202,6 +202,14 @@ def test_roundtrip_bit_exact_all_kinds(tmp_path):
         matrix = back.op.b_mat if isinstance(back.op, FactoredOperator) else back.op.a
         assert matrix.flags.writeable and back.b.flags.writeable
 
+    # an operator of any other kind cannot be stored
+    class Scaled(CountingOperator):
+        def _matvec(self, v):
+            return 2.0 * v
+
+    with pytest.raises(TypeError, match="Scaled"):
+        write_problem(tmp_path / "other.ql1p", QuadraticProblem(Scaled(2), np.zeros(2), 1.0))
+
 
 def test_read_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.ql1p"
@@ -213,8 +221,14 @@ def test_read_rejects_wrong_magic(tmp_path):
 def test_read_rejects_bad_version(tmp_path):
     path = tmp_path / "bad.ql1p"
     path.write_bytes(b"QL1P" + (99).to_bytes(4, "little") + b"\x00" * 32)
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(ProblemFormatError) as exc_info:
         read_problem(path)
+    assert exc_info.value.offset == 4
+    # an unknown operator-kind byte, after a good version
+    path.write_bytes(b"QL1P" + (1).to_bytes(4, "little") + b"\x07" + b"\x00" * 32)
+    with pytest.raises(ProblemFormatError, match="unknown operator kind 7") as exc_info:
+        read_problem(path)
+    assert exc_info.value.offset == 8
 
 
 def test_read_reports_truncation_with_lengths(tmp_path):

@@ -1,10 +1,10 @@
 import multiprocessing
 import sys
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from conftest import PoolSpy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -76,15 +76,15 @@ def test_blocked_factored_product(m, n, rows, gamma, seed):
     rng = np.random.default_rng(seed)
     b_mat = rng.standard_normal((m, n))
     v = rng.standard_normal(n)
-    op = FactoredOperator(b_mat, gamma)
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of `rows` rows
+        # blocks of `rows` rows, cut when the operator is made
         mp.setattr(problem_mod, "BLOCK_BYTES", rows * 8 * n)
-        first = op.apply(v)
-        assert op.mv_count == 1
-        kept = first.copy()
-        second = op.apply(v)
-        assert op.mv_count == 2
+        op = FactoredOperator(b_mat, gamma)
+    first = op.apply(v)
+    assert op.mv_count == 1
+    kept = first.copy()
+    second = op.apply(v)
+    assert op.mv_count == 2
     assert np.array_equal(first, _block_sum(b_mat, gamma, v, rows))
     want = _one_shot(b_mat, gamma, v)
     if rows >= m:
@@ -117,26 +117,8 @@ def test_blocked_product_thresholds():
     assert FactoredOperator(np.zeros((4, 0)), 0.5).apply(np.zeros(0)).shape == (0,)
 
 
-class _PoolSpy:
-    """Stands in for the block pool: counts pools made and tasks submitted.
-
-    Each task runs at once on the submitting thread, so a test sees the
-    chunked product's bits without depending on thread timing.
-    """
-
-    def __init__(self):
-        self.made = 0
-        self.submits = 0
-
-    def __call__(self, **kwargs):
-        self.made += 1
-        return self
-
-    def submit(self, fn, *args):
-        self.submits += 1
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+def _block_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("ql1-blocks")}
 
 
 def test_spread_returns_the_ranges_in_order_the_first_from_the_caller(monkeypatch):
@@ -158,16 +140,15 @@ def test_spread_returns_the_ranges_in_order_the_first_from_the_caller(monkeypatc
 @pytest.mark.parametrize("parts", [1, 0])
 def test_spread_in_one_part_makes_no_pool(parts):
     # count // min_part is 1 or 0 on eight CPUs, and any count is one part on one CPU
-    spy = _PoolSpy()
+    spy = PoolSpy()
     count = 4 * parts + 3
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(problem_mod, "_pool", None)
-        mp.setattr(problem_mod, "ThreadPoolExecutor", spy)
+        mp.setattr(problem_mod, "_pool", spy)
         mp.setattr(problem_mod, "_cpus", lambda: 8)
         assert problem_mod.spread(lambda lo, hi: (lo, hi), count, 4) == [(0, count)]
         mp.setattr(problem_mod, "_cpus", lambda: 1)
         assert problem_mod.spread(lambda lo, hi: (lo, hi), 100, 1) == [(0, 100)]
-    assert (spy.made, spy.submits) == (0, 0)
+    assert spy.submits == 0
 
 
 def test_spread_raises_what_a_pool_range_raises(monkeypatch):
@@ -201,7 +182,7 @@ def test_chunked_product_has_the_serial_bits(cpus):
             got = op.apply(v)
             assert op.mv_count == 1
             assert np.array_equal(got, _block_sum(b_mat, 0.5, v, rows)), (m, cols)
-            real, spy = problem_mod._pool, _PoolSpy()
+            real, spy = problem_mod._pool, PoolSpy()
             mp.setattr(problem_mod, "_pool", spy)
             assert np.array_equal(op.apply(v), got), (m, cols)
             blocks = -(-m // rows) if cols else min(m, 1)
@@ -215,21 +196,25 @@ def test_chunked_product_has_the_serial_bits(cpus):
     (8, (256, 1024), (0, 0)),       # the desk suite's 2 MiB sg operator: 2 blocks
     (8, (300, 1024), (0, 0)),       # 3 blocks
     (8, (250, 500), (0, 0)),        # the desk suite's en operator: 1 block
-    (2, (4 * 64, 2048), (1, 2)),    # 4 blocks on two CPUs: one pool, one task a product
+    (2, (4 * 64, 2048), (1, 2)),    # 4 blocks on two CPUs: one thread, one task a product
 ])
 def test_no_thread_where_none_helps(cpus, shape, used):
-    # two operators apply once each; `used` is (pools made, tasks submitted)
+    # two operators apply once each, through a new pool of cpus - 1 workers;
+    # `used` is (threads started, tasks submitted)
     rng = np.random.default_rng(0)
     b_mat = rng.standard_normal(shape)
     v = rng.standard_normal(shape[1])
-    spy = _PoolSpy()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(problem_mod, "_cpus", lambda: cpus)
-        mp.setattr(problem_mod, "_pool", None)
-        mp.setattr(problem_mod, "ThreadPoolExecutor", spy)
-        got = FactoredOperator(b_mat, 0.5).apply(v)
-        FactoredOperator(b_mat, 0.5).apply(v)
-        assert (spy.made, spy.submits) == used
+        before = _block_threads()
+        spy = PoolSpy(problem_mod._new_pool())
+        mp.setattr(problem_mod, "_pool", spy)
+        try:
+            got = FactoredOperator(b_mat, 0.5).apply(v)
+            FactoredOperator(b_mat, 0.5).apply(v)
+            assert (len(_block_threads() - before), spy.submits) == used
+        finally:
+            spy.pool.shutdown()
     rows = problem_mod.BLOCK_BYTES // (8 * shape[1])
     assert np.array_equal(got, _block_sum(b_mat, 0.5, v, rows))
 
@@ -243,7 +228,9 @@ def test_threads_may_share_an_operator():
     b_mat = rng.standard_normal((16 * rows - 1, n))
     vs = [rng.standard_normal(n) for _ in range(rounds)]
     want = [_block_sum(b_mat, 0.5, v, rows) for v in vs]
-    op = FactoredOperator(b_mat, 0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem_mod, "BLOCK_BYTES", rows * 8 * n)
+        op = FactoredOperator(b_mat, 0.5)
     got = [[], []]
     start = threading.Barrier(2)
 
@@ -253,7 +240,6 @@ def test_threads_may_share_an_operator():
 
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(problem_mod, "BLOCK_BYTES", rows * 8 * n)
         mp.setattr(problem_mod, "_cpus", lambda: 3)
         sys.setswitchinterval(1e-6)
         try:
@@ -286,7 +272,7 @@ def test_a_forked_child_makes_its_own_pool(work):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(problem_mod, "_cpus", lambda: 2)
         want = run()
-        assert problem_mod._pool is not None
+        assert _block_threads()  # the parent's pool has a thread, which the child lacks
         child = ctx.Process(target=lambda: send.send_bytes(run().tobytes()))
         child.start()
         try:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import PoolSpy
 
 from ql1 import problem as problem_mod
 from ql1.rng import _CHUNK, _GAMMA, _MASK, _SPLIT, Rng
@@ -142,18 +143,6 @@ def test_chunked_draws_match_scalar_across_chunk_boundaries(count):
     _assert_normals_match_scalar(2024, count)
 
 
-class _CountingPool:
-    """Passes tasks to the real block pool and counts them."""
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.submits = 0
-
-    def submit(self, fn, *args):
-        self.submits += 1
-        return self.pool.submit(fn, *args)
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize("count", [62_500, 262_144, _SPLIT - 1, _SPLIT, _SPLIT + 1, 2_000_000])
 def test_split_normals_have_the_serial_bits(count, cpus, monkeypatch):
@@ -162,9 +151,9 @@ def test_split_normals_have_the_serial_bits(count, cpus, monkeypatch):
     # _SPLIT // 2 values or more, and the pool every range after the first.
     # 62,500 and 262,144 values are the desk suite's smallest and largest
     # matrix draws, and 2,000,000 large-lasso's.
-    spy = _CountingPool(problem_mod._block_pool())
+    spy = PoolSpy(problem_mod._pool)
     monkeypatch.setattr(problem_mod, "_cpus", lambda: cpus)
-    monkeypatch.setattr(problem_mod, "_block_pool", lambda: spy)
+    monkeypatch.setattr(problem_mod, "_pool", spy)
     seed = 2024
     rng = Rng(seed)
     batch = rng.normals(count)
@@ -216,7 +205,8 @@ def test_split_normals_peak_memory_is_about_the_output(monkeypatch):
     # On 16 CPUs, with a pool made for them, a draw still gets one range per
     # _SPLIT // 2 values, each with two work buffers of _WIDE_CHUNK values.
     monkeypatch.setattr(problem_mod, "_cpus", lambda: 16)
-    monkeypatch.setattr(problem_mod, "_pool", None)  # the process's pool comes back after
+    pool = problem_mod._new_pool()
+    monkeypatch.setattr(problem_mod, "_pool", pool)  # the process's pool comes back after
     try:
         for count in (_SPLIT, 2_000_000):
             tracemalloc.start()
@@ -227,8 +217,7 @@ def test_split_normals_peak_memory_is_about_the_output(monkeypatch):
                 tracemalloc.stop()
             assert peak <= 1.25 * 8 * count, count
     finally:
-        if problem_mod._pool is not None:
-            problem_mod._pool.shutdown()
+        pool.shutdown()
 
 
 @pytest.mark.parametrize(
